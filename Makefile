@@ -9,7 +9,7 @@ RACE_PKGS = ./...
 # below this. Raise it when coverage improves; never lower it.
 COVER_RATCHET = 80.0
 
-.PHONY: check vet build test race lint lint-debt debt-gate cover fuzz-smoke bench bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
+.PHONY: check vet build test race determinism lint lint-debt debt-gate cover fuzz-smoke bench bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
 
 check: vet build test race lint debt-gate
 
@@ -24,6 +24,16 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# Bit-identity suites, rerun: a float sum whose order depends on goroutine
+# scheduling can pass one run and fail the next, so one `make test` pass
+# is no evidence of determinism. Covers the root worker/shard/seed
+# matrices, every CLI golden and the shard coordinator's tests.
+DETERMINISM_COUNT = 5
+determinism:
+	$(GO) test -count=$(DETERMINISM_COUNT) -run 'Determinism|Golden|BitIdent|Invariance' .
+	$(GO) test -count=$(DETERMINISM_COUNT) -run 'Golden' ./cmd/...
+	$(GO) test -count=$(DETERMINISM_COUNT) ./internal/shard/...
 
 # geolint: the project-specific analyzers (see internal/lint). One
 # invocation typechecks the whole module with cross-package fact

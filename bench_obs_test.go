@@ -24,7 +24,7 @@ func BenchmarkKDVObsOverhead(b *testing.B) {
 	b.Run("plain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := KDVCtx(context.Background(), pts, opt); err != nil {
+			if _, err := KDV(pts, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -33,7 +33,9 @@ func BenchmarkKDVObsOverhead(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ctx, root := obs.NewTrace(context.Background(), "request")
-			if _, err := KDVCtx(ctx, pts, opt); err != nil {
+			traced := opt
+			traced.Ctx = ctx
+			if _, err := KDV(pts, traced); err != nil {
 				b.Fatal(err)
 			}
 			root.End()

@@ -1,6 +1,7 @@
 package geostat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -266,6 +267,43 @@ func TestKrigeLOOCVWorkerInvariance(t *testing.T) {
 	for i := range r1.Residuals {
 		if r1.Residuals[i] != r8.Residuals[i] {
 			t.Fatalf("LOOCV residual %d differs: %v vs %v", i, r1.Residuals[i], r8.Residuals[i])
+		}
+	}
+}
+
+// TestNKDVWorkerInvariance pins the event-expansion NKDV algorithms to the
+// Workers=1 surface bit for bit: overlapping event footprints are summed
+// in event order whatever the schedule, so per-worker scratch cannot
+// reassociate the float sums.
+func TestNKDVWorkerInvariance(t *testing.T) {
+	g := GridNetwork(12, 12, 10, Point{})
+	events := RandomNetworkEvents(g, 6000, detSeed)
+	opt := NKDVOptions{Kernel: MustKernel(Epanechnikov, 25), LixelLength: 1}
+	for _, alg := range []struct {
+		name string
+		run  func(*RoadNetwork, []NetworkPosition, NKDVOptions) (*NKDVSurface, error)
+	}{
+		{"forward", NKDV},
+		{"equal-split", NKDVEqualSplit},
+	} {
+		run := func(workers int) *NKDVSurface {
+			o := opt
+			o.Workers = workers
+			s, err := alg.run(g, events, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		want := run(1)
+		for _, workers := range []int{2, 4} {
+			got := run(workers)
+			for i := range want.Values {
+				if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+					t.Fatalf("%s: lixel %d differs at workers=%d: %v, want %v",
+						alg.name, i, workers, got.Values[i], want.Values[i])
+				}
+			}
 		}
 	}
 }

@@ -29,12 +29,12 @@
 //
 // The heavy entry points are cancellable: KDVOptions, IDWOptions,
 // KPlotOptions, MoranOptions and GetisOrdOptions carry an optional Ctx
-// field (and KDVCtx / KFunctionCurveCtx accept a context directly). Worker
-// pools inside internal/parallel check the context between work chunks, so
-// a per-request timeout or client disconnect stops the computation within
-// one chunk (≤ 256 iterations) and the entry point returns ctx.Err(). A
-// nil Ctx means no cancellation; results are bit-identical whether or not
-// a (live) context is supplied. This is what lets the geostatd serving
+// field (and KDVDatasetCtx / KFunctionCurveCtx accept a context
+// directly). Worker pools inside internal/parallel check the context
+// between work chunks, so a per-request timeout or client disconnect
+// stops the computation within one chunk (≤ 256 iterations) and the entry
+// point returns ctx.Err(). A nil Ctx means no cancellation; results are
+// bit-identical whether or not a (live) context is supplied. This is what lets the geostatd serving
 // layer (cmd/geostatd, internal/serve) abandon abandoned requests without
 // leaking goroutines.
 package geostat

@@ -63,14 +63,6 @@ func (c Columns) Bounds() geom.BBox {
 	return b
 }
 
-// WeightAt returns the weight of point i (1 when unweighted).
-func (c Columns) WeightAt(i int) float64 {
-	if c.W == nil {
-		return 1
-	}
-	return c.W[i]
-}
-
 // MakeColumns builds a chunked SoA view of pts with optional per-point
 // weights. The coordinates are copied into fresh columns; w is aliased,
 // not copied (it is already a column). This is the adapter the
@@ -83,6 +75,13 @@ func MakeColumns(pts []geom.Point, w []float64) Columns {
 		x[i] = p.X
 		y[i] = p.Y
 	}
+	return ColumnsOf(x, y, w)
+}
+
+// ColumnsOf wraps existing coordinate (and optional weight) columns,
+// aliasing them, and computes the chunk aggregates. The caller must not
+// write the slices afterwards.
+func ColumnsOf(x, y, w []float64) Columns {
 	return Columns{X: x, Y: y, W: w, Chunks: buildChunks(x, y, w)}
 }
 

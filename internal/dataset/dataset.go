@@ -113,10 +113,6 @@ func (d *Dataset) Times() []float64 { return d.times }
 // slice aliases the dataset's storage; treat it as read-only.
 func (d *Dataset) Values() []float64 { return d.values }
 
-// Weights returns the per-event weight column (nil means all 1). The
-// slice aliases the dataset's storage; treat it as read-only.
-func (d *Dataset) Weights() []float64 { return d.weights }
-
 // HasTimes reports whether the dataset carries event times.
 func (d *Dataset) HasTimes() bool { return d.times != nil }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/index/balltree"
 	"geostat/internal/obs"
@@ -24,14 +25,14 @@ import (
 //
 // Unlike the exact accelerators this works for every kernel, including the
 // infinite-support Gaussian and exponential kernels.
-func BoundApprox(pts []geom.Point, opt Options, eps float64) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
+func BoundApprox(cols dataset.Columns, opt Options, eps float64) (*raster.Grid, error) {
+	if err := opt.validate(cols); err != nil {
 		return nil, err
 	}
 	if !(eps > 0) {
 		return nil, fmt.Errorf("kde: BoundApprox needs eps > 0, got %g", eps)
 	}
-	if opt.Weights != nil {
+	if cols.W != nil {
 		return nil, fmt.Errorf("kde: BoundApprox does not support event weights; use an exact method")
 	}
 	if opt.Float32 {
@@ -41,14 +42,14 @@ func BoundApprox(pts []geom.Point, opt Options, eps float64) (*raster.Grid, erro
 		return nil, err
 	}
 	_, span := obs.Trace(opt.context(), "kde.index_build")
-	tree := balltree.New(pts)
+	tree := balltree.New(pointView(cols))
 	span.End()
 	bc := &boundComputer{
 		opt:  &opt,
 		eps:  eps,
 		tree: tree,
 	}
-	return run(bc, &opt, len(pts))
+	return run(bc, &opt, cols.N(), nil)
 }
 
 type boundComputer struct {

@@ -1,7 +1,6 @@
 package kde
 
 import (
-	"fmt"
 	"math"
 
 	"geostat/internal/dataset"
@@ -234,42 +233,15 @@ func evalSeg(eval chunkEval, sum, qx, qy float64, xs, ys, ws []float64, lo, hi i
 // bounding box lies outside the kernel support are rejected without
 // touching points. Both changes are bit-exact: pruned chunks contribute
 // only terms the kernel maps to exactly 0.
-func Naive(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if err := opt.validateWeights(len(pts)); err != nil {
-		return nil, err
-	}
-	return naiveCols(dataset.MakeColumns(pts, opt.Weights), opt)
-}
-
-// NaiveCols is Naive over an already-built columnar view (e.g. a stored
-// Dataset), avoiding the array-of-structs materialisation. The weight
-// column is cols.W; opt.Weights must be nil.
-func NaiveCols(cols dataset.Columns, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.Weights != nil {
-		return nil, fmt.Errorf("kde: NaiveCols takes weights from cols.W; Options.Weights must be nil")
-	}
-	return naiveCols(cols, opt)
-}
-
-// naiveCols dispatches the validated columnar naive evaluation. The weight
-// column is installed as opt.Weights so normalisation mass and weight
-// validation see it.
-func naiveCols(cols dataset.Columns, opt Options) (*raster.Grid, error) {
-	opt.Weights = cols.W
-	if err := opt.validateWeights(cols.N()); err != nil {
+func Naive(cols dataset.Columns, opt Options) (*raster.Grid, error) {
+	if err := opt.validate(cols); err != nil {
 		return nil, err
 	}
 	if opt.Float32 {
 		if err := opt.rejectWindow("Float32"); err != nil {
 			return nil, err
 		}
-		return run(newFast32Computer(cols, &opt), &opt, cols.N())
+		return run(newFast32Computer(cols, &opt), &opt, cols.N(), cols.W)
 	}
 	c := &columnarComputer{cols: cols, opt: &opt, eval: chunkEvalFor(opt.Kernel), x0: opt.Window.X0}
 	if opt.Kernel.FiniteSupport() {
@@ -277,7 +249,7 @@ func naiveCols(cols dataset.Columns, opt Options) (*raster.Grid, error) {
 		c.b = opt.Kernel.Bandwidth()
 		c.b2 = c.b * c.b
 	}
-	return run(c, &opt, cols.N())
+	return run(c, &opt, cols.N(), cols.W)
 }
 
 // columnarComputer is the exact chunk-blocked naive evaluator.

@@ -3,6 +3,7 @@ package kde
 import (
 	"fmt"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/obs"
@@ -22,8 +23,8 @@ import (
 // Infinite-support kernels (Gaussian, exponential) are rejected: truncating
 // them silently would violate exactness. Use BoundApprox for those (the gap
 // §2.4 of the paper highlights).
-func GridCutoff(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
+func GridCutoff(cols dataset.Columns, opt Options) (*raster.Grid, error) {
+	if err := opt.validate(cols); err != nil {
 		return nil, err
 	}
 	if !opt.Kernel.FiniteSupport() {
@@ -32,24 +33,21 @@ func GridCutoff(pts []geom.Point, opt Options) (*raster.Grid, error) {
 	if err := opt.rejectWindow("GridCutoff"); err != nil {
 		return nil, err
 	}
-	if err := opt.validateWeights(len(pts)); err != nil {
-		return nil, err
-	}
 	_, span := obs.Trace(opt.context(), "kde.index_build")
-	idx := gridindex.New(pts, opt.Kernel.Bandwidth())
+	idx := gridindex.New(pointView(cols), opt.Kernel.Bandwidth())
 	span.End()
 	// Re-order the weight column to the index's cell-sorted slot order so
 	// the scan reads weights contiguously alongside the coordinates.
 	var ws []float64
-	if opt.Weights != nil {
+	if cols.W != nil {
 		_, _, ids := idx.Columns()
 		ws = make([]float64, len(ids))
 		for j, pi := range ids {
-			ws[j] = opt.Weights[pi]
+			ws[j] = cols.W[pi]
 		}
 	}
 	if opt.Float32 {
-		return run(newCutoffFast32Computer(idx, &opt, ws), &opt, len(pts))
+		return run(newCutoffFast32Computer(idx, &opt, ws), &opt, cols.N(), cols.W)
 	}
 	xs, ys, _ := idx.Columns()
 	c := &cutoffComputer{
@@ -61,7 +59,7 @@ func GridCutoff(pts []geom.Point, opt Options) (*raster.Grid, error) {
 		eval: chunkEvalFor(opt.Kernel),
 		b:    opt.Kernel.Bandwidth(),
 	}
-	return run(c, &opt, len(pts))
+	return run(c, &opt, cols.N(), cols.W)
 }
 
 type cutoffComputer struct {

@@ -25,7 +25,7 @@ func TestMultiBandwidthMatchesPerBandwidthExact(t *testing.T) {
 			t.Fatalf("%v: %d surfaces", kt, len(surfaces))
 		}
 		for bi, b := range bandwidths {
-			want, err := Exact(pts, Options{Kernel: kernel.MustNew(kt, b), Grid: grid})
+			want, err := Exact(colsOf(pts), Options{Kernel: kernel.MustNew(kt, b), Grid: grid})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestAdaptiveUniformBandwidthMatchesFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := Exact(pts, Options{Kernel: kernel.MustNew(kernel.Quartic, b), Grid: grid})
+	fixed, err := Exact(colsOf(pts), Options{Kernel: kernel.MustNew(kernel.Quartic, b), Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,19 +260,19 @@ func TestWeightedKDVAllMethodsAgree(t *testing.T) {
 		weights[i] = 0.5 + r.Float64()*3
 	}
 	opt := Options{
-		Kernel:  kernel.MustNew(kernel.Quartic, 9),
-		Grid:    geom.NewPixelGrid(box, 22, 18),
-		Weights: weights,
+		Kernel: kernel.MustNew(kernel.Quartic, 9),
+		Grid:   geom.NewPixelGrid(box, 22, 18),
 	}
-	naive, err := Naive(pts, opt)
+	cols := dataset.MakeColumns(pts, weights)
+	naive, err := Naive(cols, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut, err := GridCutoff(pts, opt)
+	cut, err := GridCutoff(cols, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := SweepLine(pts, opt)
+	sweep, err := SweepLine(cols, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +287,12 @@ func TestWeightedKDVAllMethodsAgree(t *testing.T) {
 	p3 := []geom.Point{{X: 40, Y: 40}, {X: 60, Y: 55}}
 	w3 := []float64{3, 1}
 	opt3 := opt
-	opt3.Weights = w3
-	weighted, err := SweepLine(p3, opt3)
+	weighted, err := SweepLine(dataset.MakeColumns(p3, w3), opt3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expanded := []geom.Point{p3[0], p3[0], p3[0], p3[1]}
-	opt3.Weights = nil
-	dup, err := SweepLine(expanded, opt3)
+	dup, err := SweepLine(colsOf(expanded), opt3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,28 +304,29 @@ func TestWeightedKDVAllMethodsAgree(t *testing.T) {
 func TestWeightedKDVValidation(t *testing.T) {
 	pts := clusteredPoints(71, 20)
 	opt := Options{
-		Kernel:  kernel.MustNew(kernel.Quartic, 9),
-		Grid:    geom.NewPixelGrid(box, 8, 8),
-		Weights: []float64{1, 2}, // wrong length
+		Kernel: kernel.MustNew(kernel.Quartic, 9),
+		Grid:   geom.NewPixelGrid(box, 8, 8),
 	}
-	if _, err := Naive(pts, opt); err == nil {
+	good := colsOf(pts)
+	bad := dataset.Columns{X: good.X, Y: good.Y, W: []float64{1, 2}, Chunks: good.Chunks} // wrong length
+	if _, err := Naive(bad, opt); err == nil {
 		t.Error("wrong-length weights accepted by Naive")
 	}
-	if _, err := GridCutoff(pts, opt); err == nil {
+	if _, err := GridCutoff(bad, opt); err == nil {
 		t.Error("wrong-length weights accepted by GridCutoff")
 	}
-	if _, err := SweepLine(pts, opt); err == nil {
+	if _, err := SweepLine(bad, opt); err == nil {
 		t.Error("wrong-length weights accepted by SweepLine")
 	}
 	ok := make([]float64, len(pts))
 	for i := range ok {
 		ok[i] = 1
 	}
-	opt.Weights = ok
-	if _, err := BoundApprox(pts, opt, 0.1); err == nil {
+	weighted := dataset.MakeColumns(pts, ok)
+	if _, err := BoundApprox(weighted, opt, 0.1); err == nil {
 		t.Error("weights accepted by BoundApprox")
 	}
-	if _, err := Sampled(pts, opt, 1, 0.1, 0.1); err == nil {
+	if _, err := Sampled(weighted, opt, 1, 0.1, 0.1); err == nil {
 		t.Error("weights accepted by Sampled")
 	}
 }
@@ -338,9 +337,8 @@ func TestWeightedNormalizeIntegratesToOne(t *testing.T) {
 		Kernel:    kernel.MustNew(kernel.Quartic, 10),
 		Grid:      geom.NewPixelGrid(box, 200, 160),
 		Normalize: true,
-		Weights:   []float64{3, 1},
 	}
-	out, err := GridCutoff(pts, opt)
+	out, err := GridCutoff(dataset.MakeColumns(pts, []float64{3, 1}), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,10 @@
 // the paper): colouring each pixel q of an X×Y raster with the kernel
 // density value F_P(q) = Σ_p w·K(q, p).
 //
+// Every raster method reads its input as a dataset.Columns view: the
+// coordinate columns, the optional weight column W (the only source of
+// event weights) and the per-chunk aggregates.
+//
 // Every acceleration family the paper's §2.2 reviews is implemented:
 //
 //   - Naive: the O(XYn) baseline every off-the-shelf GIS package uses.
@@ -27,6 +31,7 @@ import (
 	"context"
 	"fmt"
 
+	"geostat/internal/dataset"
 	"geostat/internal/geom"
 	"geostat/internal/kernel"
 	"geostat/internal/obs"
@@ -46,11 +51,6 @@ type Options struct {
 	// Workers is the parallelism degree; 0 or 1 is serial, negative means
 	// GOMAXPROCS.
 	Workers int
-	// Weights optionally weights each event (severity, case counts):
-	// F(q) = Σ_i Weights[i]·K(q, p_i). Supported by the exact methods
-	// (Naive, GridCutoff, SweepLine); the approximate methods reject it
-	// (their guarantees are stated for unweighted sums). Nil means all 1.
-	Weights []float64
 	// Float32 opts into the approximate fast path: float32 coordinate
 	// columns, a precomputed kernel lookup table, and truncation of
 	// infinite-support kernels at Kernel.SupportRadius. Results differ from
@@ -67,8 +67,8 @@ type Options struct {
 	// from the full Grid — Center(Window.X0+ix, Window.Y0+iy) — so a
 	// windowed raster is bit-identical to the corresponding window of the
 	// full-extent result. The zero value means the whole grid. Supported
-	// by Naive/NaiveCols only (the float64 columnar path); every other
-	// method rejects it rather than silently evaluating the full grid.
+	// by Naive only (the float64 path); every other method rejects it
+	// rather than silently evaluating the full grid.
 	Window geom.GridWindow
 }
 
@@ -80,18 +80,19 @@ func (o *Options) context() context.Context {
 	return context.Background()
 }
 
-// scale returns the multiplier applied to raw kernel sums. With weights,
-// the normalising mass is the total weight rather than the point count, so
-// the surface still integrates to ~1.
-func (o *Options) scale(n int) float64 {
+// scale returns the multiplier applied to the raw kernel sums of n points
+// with weight column w (nil means all 1). With weights, the normalising
+// mass is the total weight rather than the point count, so the surface
+// still integrates to ~1.
+func (o *Options) scale(n int, w []float64) float64 {
 	if !o.Normalize || n == 0 {
 		return 1
 	}
 	mass := float64(n)
-	if o.Weights != nil {
+	if w != nil {
 		mass = 0
-		for _, w := range o.Weights {
-			mass += w
+		for _, wi := range w {
+			mass += wi
 		}
 		if mass == 0 {
 			return 1
@@ -100,16 +101,30 @@ func (o *Options) scale(n int) float64 {
 	return o.Kernel.NormConst() / mass
 }
 
-// validate rejects option combinations that would otherwise fail deep in a
-// worker goroutine.
-func (o *Options) validate() error {
+// validate rejects option and input combinations that would otherwise
+// fail deep in a worker goroutine.
+func (o *Options) validate(cols dataset.Columns) error {
 	if o.Kernel.Bandwidth() <= 0 {
 		return fmt.Errorf("kde: kernel not initialised (zero bandwidth); use kernel.New")
 	}
 	if o.Grid.NX <= 0 || o.Grid.NY <= 0 {
 		return fmt.Errorf("kde: grid not initialised (%dx%d)", o.Grid.NX, o.Grid.NY)
 	}
+	if cols.W != nil && len(cols.W) != cols.N() {
+		return fmt.Errorf("kde: %d points but %d weights", cols.N(), len(cols.W))
+	}
 	return nil
+}
+
+// pointView materialises the columns as points for the spatial indexes
+// (grid buckets, ball tree), which copy them into their own cell or node
+// order anyway.
+func pointView(cols dataset.Columns) []geom.Point {
+	pts := make([]geom.Point, cols.N())
+	for i := range pts {
+		pts[i] = geom.Point{X: cols.X[i], Y: cols.Y[i]}
+	}
+	return pts
 }
 
 // rejectWindow fails when a Window is set on a method that cannot evaluate
@@ -122,23 +137,6 @@ func (o *Options) rejectWindow(method string) error {
 	return nil
 }
 
-// validateWeights checks Weights against the point count (n known only at
-// the call site).
-func (o *Options) validateWeights(n int) error {
-	if o.Weights != nil && len(o.Weights) != n {
-		return fmt.Errorf("kde: %d points but %d weights", n, len(o.Weights))
-	}
-	return nil
-}
-
-// weightAt returns the weight of point i (1 when unweighted).
-func (o *Options) weightAt(i int) float64 {
-	if o.Weights == nil {
-		return 1
-	}
-	return o.Weights[i]
-}
-
 // rowComputer computes one raster row of kernel sums (unscaled). Row
 // computations must be independent so the driver can shard them across
 // goroutines.
@@ -147,16 +145,17 @@ type rowComputer interface {
 }
 
 // run evaluates every row of opt.Grid through rc, applying the
-// normalisation scale, serially or with opt.Workers goroutines
-// (dynamically scheduled through internal/parallel). When opt.Ctx fires
-// mid-run the partial grid is discarded and ctx.Err() returned.
+// normalisation scale of n points with weight column w, serially or with
+// opt.Workers goroutines (dynamically scheduled through internal/parallel).
+// When opt.Ctx fires mid-run the partial grid is discarded and ctx.Err()
+// returned.
 //
 // With a non-zero opt.Window only the window's rows are evaluated and the
 // output grid is window-sized (Spec = SubGrid of the window): computeRow
 // receives the PARENT row index, so centers match the full-extent raster
 // bit-for-bit. Entry points whose computers ignore the window offset must
 // reject windows via rejectWindow before reaching here.
-func run(rc rowComputer, opt *Options, n int) (*raster.Grid, error) {
+func run(rc rowComputer, opt *Options, n int, w []float64) (*raster.Grid, error) {
 	win := opt.Window
 	spec := opt.Grid
 	if win.IsZero() {
@@ -167,7 +166,7 @@ func run(rc rowComputer, opt *Options, n int) (*raster.Grid, error) {
 		spec = opt.Grid.SubGrid(win)
 	}
 	out := raster.NewGrid(spec)
-	scale := opt.scale(n)
+	scale := opt.scale(n, w)
 	nx := win.NX
 	ctx, span := obs.Trace(opt.context(), "kde.evaluate")
 	defer span.End()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"geostat/internal/geom"
+	"geostat/internal/dataset"
 	"geostat/internal/parallel"
 	"geostat/internal/raster"
 )
@@ -45,12 +45,12 @@ func SampleBound(numPixels int, eps, delta float64) (int, error) {
 // exact.
 //
 // The subset is drawn from a generator seeded with seed, so a given
-// (points, options, seed) triple always yields the same surface.
-func Sampled(pts []geom.Point, opt Options, seed int64, eps, delta float64) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
+// (columns, options, seed) triple always yields the same surface.
+func Sampled(cols dataset.Columns, opt Options, seed int64, eps, delta float64) (*raster.Grid, error) {
+	if err := opt.validate(cols); err != nil {
 		return nil, err
 	}
-	if opt.Weights != nil {
+	if cols.W != nil {
 		return nil, fmt.Errorf("kde: Sampled does not support event weights; use an exact method")
 	}
 	if opt.Float32 {
@@ -63,60 +63,56 @@ func Sampled(pts []geom.Point, opt Options, seed int64, eps, delta float64) (*ra
 	if err != nil {
 		return nil, err
 	}
-	n := len(pts)
+	n := cols.N()
 	if m >= n {
-		return exactAuto(pts, opt)
+		return Exact(cols, opt)
 	}
 	// Sample with replacement (matches the Hoeffding analysis directly).
 	rng := parallel.NewRand(seed)
-	sample := make([]geom.Point, m)
-	for i := range sample {
-		sample[i] = pts[rng.Intn(n)]
+	xs := make([]float64, m)
+	ys := make([]float64, m)
+	for i := range xs {
+		j := rng.Intn(n)
+		xs[i], ys[i] = cols.X[j], cols.Y[j]
 	}
 	// Compute on the subset with normalisation disabled, then rescale by
 	// n/m (and the caller's normalisation constant if requested).
 	subOpt := opt
 	subOpt.Normalize = false
-	out, err := exactAuto(sample, subOpt)
+	out, err := Exact(dataset.ColumnsOf(xs, ys, nil), subOpt)
 	if err != nil {
 		return nil, err
 	}
-	scale := float64(n) / float64(m) * opt.scale(n)
+	scale := float64(n) / float64(m) * opt.scale(n, nil)
 	for i := range out.Values {
 		out.Values[i] *= scale
 	}
 	return out, nil
 }
 
-// exactAuto picks the fastest exact method available for the kernel. With
-// Options.Float32 set (an explicit opt-out of exactness) it routes to the
-// float32-capable methods instead.
-func exactAuto(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if opt.Float32 {
-		if opt.Kernel.FiniteSupport() {
-			return GridCutoff(pts, opt)
-		}
-		return Naive(pts, opt)
-	}
-	if SweepSupported(opt.Kernel.Type()) {
-		return SweepLine(pts, opt)
-	}
-	if opt.Kernel.FiniteSupport() {
-		return GridCutoff(pts, opt)
-	}
-	return Naive(pts, opt)
-}
-
 // Exact computes the exact KDV with the best available exact algorithm for
 // the kernel: SweepLine for polynomial kernels, GridCutoff for other
 // finite-support kernels, Naive otherwise. This is the method the public
-// facade exposes as the default.
-func Exact(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
+// facade exposes as the default. With Options.Float32 set (an explicit
+// opt-out of exactness) it routes to the float32-capable methods instead.
+func Exact(cols dataset.Columns, opt Options) (*raster.Grid, error) {
+	if err := opt.validate(cols); err != nil {
 		return nil, err
 	}
 	if err := opt.rejectWindow("Exact"); err != nil {
 		return nil, err
 	}
-	return exactAuto(pts, opt)
+	if opt.Float32 {
+		if opt.Kernel.FiniteSupport() {
+			return GridCutoff(cols, opt)
+		}
+		return Naive(cols, opt)
+	}
+	if SweepSupported(opt.Kernel.Type()) {
+		return SweepLine(cols, opt)
+	}
+	if opt.Kernel.FiniteSupport() {
+		return GridCutoff(cols, opt)
+	}
+	return Naive(cols, opt)
 }

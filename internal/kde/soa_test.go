@@ -23,9 +23,9 @@ import (
 
 // aosReference computes the KDV the pre-columnar way: one
 // array-of-structs pass over the points per pixel, accumulating
-// w_i * K.Eval2(d²) in point order. This is the bit-level ground truth the
-// columnar loops must reproduce.
-func aosReference(pts []geom.Point, opt Options) *raster.Grid {
+// w_i * K.Eval2(d²) in point order (ws nil means unweighted). This is the
+// bit-level ground truth the columnar loops must reproduce.
+func aosReference(pts []geom.Point, ws []float64, opt Options) *raster.Grid {
 	g := raster.NewGrid(opt.Grid)
 	for iy := 0; iy < opt.Grid.NY; iy++ {
 		for ix := 0; ix < opt.Grid.NX; ix++ {
@@ -33,8 +33,8 @@ func aosReference(pts []geom.Point, opt Options) *raster.Grid {
 			sum := 0.0
 			for i, p := range pts {
 				v := opt.Kernel.Eval2(p.Dist2(q))
-				if opt.Weights != nil {
-					v = opt.Weights[i] * v
+				if ws != nil {
+					v = ws[i] * v
 				}
 				sum += v
 			}
@@ -77,11 +77,10 @@ func TestColumnarBitIdentityVsAoSReference(t *testing.T) {
 		opt := testOpts(kt, 9)
 		opt.Grid = geom.NewPixelGrid(box, 24, 20)
 		for _, ws := range [][]float64{nil, weights} {
-			opt.Weights = ws
-			want := aosReference(pts, opt)
+			want := aosReference(pts, ws, opt)
 			for _, workers := range []int{1, 4} {
 				opt.Workers = workers
-				got, err := Naive(pts, opt)
+				got, err := Naive(dataset.MakeColumns(pts, ws), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,13 +103,13 @@ func TestChunkPruningBitIdentical(t *testing.T) {
 	for _, b := range []float64{2, 6, 25} {
 		opt := testOpts(kernel.Quartic, b)
 		opt.Grid = geom.NewPixelGrid(box, 24, 20)
-		pruned, err := Naive(pts, opt)
+		pruned, err := Naive(colsOf(pts), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		unpruned, err := run(
 			&columnarComputer{cols: cols, opt: &opt, eval: chunkEvalFor(opt.Kernel)},
-			&opt, cols.N())
+			&opt, cols.N(), cols.W)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +121,12 @@ func TestFloat32WithinErrorBound(t *testing.T) {
 	pts := multiChunkPoints(13, 6000)
 	for _, kt := range []kernel.Type{kernel.Quartic, kernel.Gaussian} {
 		opt := testOpts(kt, 12)
-		exact, err := Naive(pts, opt)
+		exact, err := Naive(colsOf(pts), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt.Float32 = true
-		fast, err := Naive(pts, opt)
+		fast, err := Naive(colsOf(pts), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,13 +157,13 @@ func TestFloat32RejectedByExactOnlyMethods(t *testing.T) {
 	pts := clusteredPoints(14, 200)
 	opt := testOpts(kernel.Quartic, 10)
 	opt.Float32 = true
-	if _, err := SweepLine(pts, opt); err == nil {
+	if _, err := SweepLine(colsOf(pts), opt); err == nil {
 		t.Error("SweepLine accepted Float32")
 	}
-	if _, err := BoundApprox(pts, opt, 0.05); err == nil {
+	if _, err := BoundApprox(colsOf(pts), opt, 0.05); err == nil {
 		t.Error("BoundApprox accepted Float32")
 	}
-	if _, err := Sampled(pts, opt, 1, 0.1, 0.01); err == nil {
+	if _, err := Sampled(colsOf(pts), opt, 1, 0.1, 0.01); err == nil {
 		t.Error("Sampled accepted Float32")
 	}
 }
@@ -178,8 +177,8 @@ func TestFloat32NeverImplicit(t *testing.T) {
 	// trip it by three orders of magnitude.
 	pts := multiChunkPoints(15, 5000)
 	opt := testOpts(kernel.Quartic, 8)
-	want := aosReference(pts, opt)
-	got, err := Exact(pts, opt)
+	want := aosReference(pts, nil, opt)
+	got, err := Exact(colsOf(pts), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

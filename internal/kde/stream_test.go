@@ -35,7 +35,7 @@ func TestStreamAddAllMatchesBatch(t *testing.T) {
 	if s.Count() != len(pts) {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	batch, err := Exact(pts, Options{Kernel: k, Grid: grid})
+	batch, err := Exact(colsOf(pts), Options{Kernel: k, Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStreamAddRemoveMatchesRemaining(t *testing.T) {
 	if s.Count() != 150 {
 		t.Fatalf("Count = %d", s.Count())
 	}
-	batch, err := Exact(pts[150:], Options{Kernel: k, Grid: grid})
+	batch, err := Exact(colsOf(pts[150:]), Options{Kernel: k, Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWindowStreamMatchesDirect(t *testing.T) {
 		if w.Live() != len(inWin) {
 			t.Fatalf("now=%v: Live=%d, want %d", now, w.Live(), len(inWin))
 		}
-		direct, err := Exact(inWin, Options{Kernel: k, Grid: grid})
+		direct, err := Exact(colsOf(inWin), Options{Kernel: k, Grid: grid})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"sync"
 
-	"geostat/internal/geom"
+	"geostat/internal/dataset"
 	"geostat/internal/kernel"
 	"geostat/internal/raster"
 )
@@ -39,8 +39,8 @@ import (
 // Triangular, cosine, Gaussian and exponential kernels are not polynomial
 // in dx² and are rejected — exactly the limitation §2.4 of the paper names
 // as an open problem for the sharing family.
-func SweepLine(pts []geom.Point, opt Options) (*raster.Grid, error) {
-	if err := opt.validate(); err != nil {
+func SweepLine(cols dataset.Columns, opt Options) (*raster.Grid, error) {
+	if err := opt.validate(cols); err != nil {
 		return nil, err
 	}
 	deg, err := sweepDegree(opt.Kernel.Type())
@@ -53,11 +53,8 @@ func SweepLine(pts []geom.Point, opt Options) (*raster.Grid, error) {
 	if err := opt.rejectWindow("SweepLine"); err != nil {
 		return nil, err
 	}
-	if err := opt.validateWeights(len(pts)); err != nil {
-		return nil, err
-	}
-	sc := newSweepComputer(pts, &opt, deg)
-	return run(sc, &opt, len(pts))
+	sc := newSweepComputer(cols, &opt, deg)
+	return run(sc, &opt, cols.N(), cols.W)
 }
 
 // SweepSupported reports whether SweepLine supports the kernel type.
@@ -114,27 +111,28 @@ type sweepBuf struct {
 	pow []float64 // qx' powers 0..2·deg
 }
 
-func newSweepComputer(pts []geom.Point, opt *Options, deg int) *sweepComputer {
+func newSweepComputer(cols dataset.Columns, opt *Options, deg int) *sweepComputer {
 	c := &sweepComputer{
 		opt:    opt,
 		deg:    deg,
 		stride: (deg + 1) * (deg + 1),
 	}
-	order := make([]int, len(pts))
+	n := cols.N()
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return pts[order[a]].Y < pts[order[b]].Y })
-	c.xs = make([]float64, len(pts))
-	c.ys = make([]float64, len(pts))
-	if opt.Weights != nil {
-		c.ws = make([]float64, len(pts))
+	sort.Slice(order, func(a, b int) bool { return cols.Y[order[a]] < cols.Y[order[b]] })
+	c.xs = make([]float64, n)
+	c.ys = make([]float64, n)
+	if cols.W != nil {
+		c.ws = make([]float64, n)
 	}
 	for i, oi := range order {
-		c.xs[i] = pts[oi].X
-		c.ys[i] = pts[oi].Y
+		c.xs[i] = cols.X[oi]
+		c.ys[i] = cols.Y[oi]
 		if c.ws != nil {
-			c.ws[i] = opt.Weights[oi]
+			c.ws[i] = cols.W[oi]
 		}
 	}
 	c.binomCoef = make([][]float64, deg+1)

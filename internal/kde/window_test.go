@@ -16,7 +16,7 @@ func TestWindowedMatchesFullGridExactly(t *testing.T) {
 	pts := clusteredPoints(7, 400)
 	for _, typ := range []kernel.Type{kernel.Uniform, kernel.Epanechnikov, kernel.Quartic, kernel.Gaussian} {
 		opt := testOpts(typ, 12)
-		full, err := Naive(pts, opt)
+		full, err := Naive(colsOf(pts), opt)
 		if err != nil {
 			t.Fatalf("%v full: %v", typ, err)
 		}
@@ -30,7 +30,7 @@ func TestWindowedMatchesFullGridExactly(t *testing.T) {
 		for _, w := range windows {
 			wopt := opt
 			wopt.Window = w
-			got, err := Naive(pts, wopt)
+			got, err := Naive(colsOf(pts), wopt)
 			if err != nil {
 				t.Fatalf("%v window %+v: %v", typ, w, err)
 			}
@@ -66,7 +66,7 @@ func TestWindowedHaloSubsetExact(t *testing.T) {
 	wopt := opt
 	wopt.Window = w
 
-	full, err := NaiveCols(d.Columns(), wopt)
+	full, err := Naive(d.Columns(), wopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWindowedHaloSubsetExact(t *testing.T) {
 	if sub.N() == d.N() || sub.N() == 0 {
 		t.Fatalf("halo filter not selective: %d of %d points", sub.N(), d.N())
 	}
-	got, err := NaiveCols(sub.Columns(), wopt)
+	got, err := Naive(sub.Columns(), wopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestWindowValidation(t *testing.T) {
 	for _, w := range bad {
 		wopt := opt
 		wopt.Window = w
-		if _, err := Naive(pts, wopt); err == nil {
+		if _, err := Naive(colsOf(pts), wopt); err == nil {
 			t.Errorf("window %+v accepted", w)
 		}
 	}
@@ -114,11 +114,11 @@ func TestWindowValidation(t *testing.T) {
 		call func(Options) error
 	}
 	methods := []method{
-		{"GridCutoff", func(o Options) error { _, err := GridCutoff(pts, o); return err }},
-		{"SweepLine", func(o Options) error { _, err := SweepLine(pts, o); return err }},
-		{"BoundApprox", func(o Options) error { _, err := BoundApprox(pts, o, 0.1); return err }},
-		{"Sampled", func(o Options) error { _, err := Sampled(pts, o, 1, 0.1, 0.1); return err }},
-		{"Exact", func(o Options) error { _, err := Exact(pts, o); return err }},
+		{"GridCutoff", func(o Options) error { _, err := GridCutoff(colsOf(pts), o); return err }},
+		{"SweepLine", func(o Options) error { _, err := SweepLine(colsOf(pts), o); return err }},
+		{"BoundApprox", func(o Options) error { _, err := BoundApprox(colsOf(pts), o, 0.1); return err }},
+		{"Sampled", func(o Options) error { _, err := Sampled(colsOf(pts), o, 1, 0.1, 0.1); return err }},
+		{"Exact", func(o Options) error { _, err := Exact(colsOf(pts), o); return err }},
 	}
 	for _, m := range methods {
 		if err := m.call(wopt); err == nil {
@@ -127,7 +127,7 @@ func TestWindowValidation(t *testing.T) {
 	}
 	f32 := wopt
 	f32.Float32 = true
-	if _, err := Naive(pts, f32); err == nil {
+	if _, err := Naive(colsOf(pts), f32); err == nil {
 		t.Error("float32 naive accepted a window")
 	}
 }

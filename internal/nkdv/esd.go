@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"geostat/internal/network"
-	"geostat/internal/parallel"
 )
 
 // ForwardESD computes NKDV with Okabe's equal-split discontinuous kernel
@@ -37,18 +36,15 @@ func ForwardESD(g *network.Graph, events []network.Position, opt Options) (*Surf
 	}
 
 	type esdScratch struct {
-		*fwdScratch
+		dij    *network.Dijkstra
 		factor []float64
 	}
-	partials := parallel.ForScratch(len(events), opt.Workers,
+	err := expandEvents(opt.context(), len(events), opt.Workers,
 		func() *esdScratch {
-			return &esdScratch{
-				fwdScratch: newFwdScratch(g, len(lixels)),
-				factor:     make([]float64, g.NumNodes()),
-			}
+			return &esdScratch{dij: network.NewDijkstra(g), factor: make([]float64, g.NumNodes())}
 		},
-		func(sc *esdScratch, i int) {
-			dij, local, factor := sc.dij, sc.values, sc.factor
+		func(sc *esdScratch, i int, emit func(li int32, v float64)) {
+			dij, factor := sc.dij, sc.factor
 			ev := events[i]
 			dij.FromPosition(ev, b)
 			reached := dij.Reached()
@@ -76,7 +72,7 @@ func ForwardESD(g *network.Graph, events []network.Position, opt Options) (*Surf
 			for li := edgeOff[ev.Edge]; li < edgeOff[ev.Edge+1]; li++ {
 				d := math.Abs(lixels[li].Center() - ev.Offset)
 				if d <= b {
-					local[li] += opt.Kernel.Eval(d)
+					emit(li, opt.Kernel.Eval(d))
 				}
 			}
 			// Entries into every edge incident to a reached node.
@@ -103,16 +99,14 @@ func ForwardESD(g *network.Graph, events []network.Position, opt Options) (*Surf
 						}
 						d := du + off
 						if d <= b {
-							local[li] += enter * opt.Kernel.Eval(d)
+							emit(li, enter*opt.Kernel.Eval(d))
 						}
 					}
 				})
 			}
-		})
-	for _, sc := range partials {
-		for i, v := range sc.values {
-			s.Values[i] += v
-		}
+		}, s.Values)
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"geostat/internal/kernel"
 	"geostat/internal/network"
@@ -152,22 +153,83 @@ func Naive(g *network.Graph, events []network.Position, opt Options) (*Surface, 
 	return s, nil
 }
 
-// fwdScratch is the per-worker state of the event-expansion algorithms:
-// one Dijkstra engine, a private copy of the lixel values (footprints
-// overlap, so direct writes would race), and the dedup set of spread
-// edges.
-type fwdScratch struct {
-	dij    *network.Dijkstra
-	values []float64
-	seen   map[int32]bool
+// contrib is one event's kernel contribution to one lixel.
+type contrib struct {
+	li int32
+	v  float64
 }
 
-func newFwdScratch(g *network.Graph, nLixels int) *fwdScratch {
-	return &fwdScratch{
-		dij:    network.NewDijkstra(g),
-		values: make([]float64, nLixels),
-		seen:   make(map[int32]bool),
+// chunkRec holds the contributions of a finished chunk of events [lo, hi)
+// in event order, waiting until every earlier chunk has been applied.
+type chunkRec struct {
+	hi  int
+	buf []contrib
+}
+
+// expandEvents runs expand for every event and adds the contributions it
+// emits into values in event order, and in emission order within an event
+// — the summation order of a serial loop — so overlapping footprints sum
+// to the same bits for every worker count and schedule. Serially, emit
+// adds straight into values. In parallel, each dynamically scheduled chunk
+// of events records its contributions into a reused buffer, and finished
+// chunks are applied in event order by one worker at a time — whichever
+// closes the gap — while the others keep expanding.
+func expandEvents[S any](ctx context.Context, n, workers int, newScratch func() S,
+	expand func(sc S, i int, emit func(li int32, v float64)), values []float64) error {
+	nw := parallel.Workers(workers)
+	if nw <= 1 {
+		add := func(li int32, v float64) { values[li] += v }
+		_, err := parallel.ForScratchCtx(ctx, n, 1, newScratch, func(sc S, i int) { expand(sc, i, add) })
+		return err
 	}
+	idle := make(chan S, nw) // at most nw scratches exist, so sends never block
+	var mu sync.Mutex
+	next := 0                       // first event not yet applied
+	ready := make(map[int]chunkRec) // finished chunks keyed by first event
+	var free [][]contrib            // applied buffers, reused
+	applying := false               // one worker at a time applies, outside mu
+	return parallel.ForRangeCtx(ctx, n, nw, func(lo, hi int) {
+		var sc S
+		select {
+		case sc = <-idle:
+		default:
+			sc = newScratch()
+		}
+		var buf []contrib
+		mu.Lock()
+		if k := len(free); k > 0 {
+			buf, free = free[k-1][:0], free[:k-1]
+		}
+		mu.Unlock()
+		emit := func(li int32, v float64) { buf = append(buf, contrib{li, v}) }
+		for i := lo; i < hi; i++ {
+			expand(sc, i, emit)
+		}
+		idle <- sc
+		mu.Lock()
+		ready[lo] = chunkRec{hi, buf}
+		if applying {
+			mu.Unlock()
+			return // the active applier will reach this chunk
+		}
+		applying = true
+		for {
+			rec, ok := ready[next]
+			if !ok {
+				applying = false
+				mu.Unlock()
+				return
+			}
+			delete(ready, next)
+			mu.Unlock()
+			for _, c := range rec.buf {
+				values[c.li] += c.v
+			}
+			mu.Lock()
+			free = append(free, rec.buf)
+			next = rec.hi
+		}
+	})
 }
 
 // Forward computes NKDV with one bounded Dijkstra per event, adding the
@@ -183,11 +245,16 @@ func Forward(g *network.Graph, events []network.Position, opt Options) (*Surface
 	s := &Surface{Lixels: lixels, EdgeOff: edgeOff, Values: make([]float64, len(lixels))}
 	b := opt.Kernel.Bandwidth()
 
+	// Per worker: a Dijkstra engine and the dedup set of spread edges.
+	type fwdScratch struct {
+		dij  *network.Dijkstra
+		seen map[int32]bool
+	}
 	ectx, espan := obs.Trace(ctx, "nkdv.evaluate")
 	defer espan.End()
-	partials, err := parallel.ForScratchCtx(ectx, len(events), opt.Workers,
-		func() *fwdScratch { return newFwdScratch(g, len(lixels)) },
-		func(sc *fwdScratch, i int) {
+	err := expandEvents(ectx, len(events), opt.Workers,
+		func() *fwdScratch { return &fwdScratch{dij: network.NewDijkstra(g), seen: make(map[int32]bool)} },
+		func(sc *fwdScratch, i int, emit func(li int32, v float64)) {
 			ev := events[i]
 			sc.dij.FromPosition(ev, b)
 			clear(sc.seen)
@@ -199,7 +266,7 @@ func Forward(g *network.Graph, events []network.Position, opt Options) (*Surface
 				for li := edgeOff[ei]; li < edgeOff[ei+1]; li++ {
 					d := sc.dij.PositionDist(lixels[li].Position(), ev, true)
 					if d <= b {
-						sc.values[li] += opt.Kernel.Eval(d)
+						emit(li, opt.Kernel.Eval(d))
 					}
 				}
 			}
@@ -207,14 +274,9 @@ func Forward(g *network.Graph, events []network.Position, opt Options) (*Surface
 			for _, u := range sc.dij.Reached() {
 				g.Neighbors(u, func(_, ei int32, _ float64) { spread(ei) })
 			}
-		})
+		}, s.Values)
 	if err != nil {
 		return nil, err
-	}
-	for _, sc := range partials {
-		for i, v := range sc.values {
-			s.Values[i] += v
-		}
 	}
 	return s, nil
 }

@@ -85,17 +85,12 @@ func (s *Server) writeDatasetInfo(w http.ResponseWriter, info DatasetInfo) {
 // against; a mismatch (or 404) triggers a re-upload.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	digest, version, ok := s.reg.Digest(name)
+	info, ok := s.reg.Digest(name)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Sprintf("unknown dataset %q", name))
 		return
 	}
-	d, _, _ := s.reg.Get(name)
-	s.writeDatasetInfo(w, DatasetInfo{
-		Name: name, N: d.N(), Version: version,
-		HasTimes: d.HasTimes(), HasValues: d.HasValues(),
-		Digest: digest,
-	})
+	s.writeDatasetInfo(w, info)
 }
 
 // handleGenerate registers a synthetic dataset: kind=csr|clusters|outbreak

@@ -21,8 +21,8 @@ type DatasetInfo struct {
 }
 
 type regEntry struct {
-	d       *geostat.Dataset
-	version uint64
+	d    *geostat.Dataset
+	info DatasetInfo // everything but the digest, fixed at Put
 
 	// digest memoises d.Digest() — immutable dataset, computed on first
 	// request. The Once is shared by pointer so copies of the entry value
@@ -63,7 +63,11 @@ func (r *Registry) Put(name string, d *geostat.Dataset) (uint64, error) {
 	defer r.mu.Unlock()
 	r.version++
 	r.entries[name] = regEntry{
-		d: d, version: r.version,
+		d: d,
+		info: DatasetInfo{
+			Name: name, N: d.N(), Version: r.version,
+			HasTimes: d.HasTimes(), HasValues: d.HasValues(),
+		},
 		digestOnce: new(sync.Once), digest: new(string),
 	}
 	return r.version, nil
@@ -74,21 +78,25 @@ func (r *Registry) Get(name string) (*geostat.Dataset, uint64, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.entries[name]
-	return e.d, e.version, ok
+	return e.d, e.info.Version, ok
 }
 
-// Digest returns the dataset's content digest (see Dataset.Digest), its
-// version, and whether name is registered. The digest is computed once per
-// stored snapshot and memoised.
-func (r *Registry) Digest(name string) (digest string, version uint64, ok bool) {
+// Digest returns name's info with its content digest (see
+// Dataset.Digest), all read from one registry entry, so a concurrent
+// re-upload can never mix two snapshots in one answer. ok is false if
+// name is unknown. The digest is computed once per stored snapshot and
+// memoised.
+func (r *Registry) Digest(name string) (info DatasetInfo, ok bool) {
 	r.mu.RLock()
 	e, ok := r.entries[name]
 	r.mu.RUnlock()
 	if !ok {
-		return "", 0, false
+		return DatasetInfo{}, false
 	}
 	e.digestOnce.Do(func() { *e.digest = e.d.Digest() })
-	return *e.digest, e.version, true
+	info = e.info
+	info.Digest = *e.digest
+	return info, true
 }
 
 // List returns every dataset's info, sorted by name.
@@ -102,14 +110,7 @@ func (r *Registry) List() []DatasetInfo {
 	sort.Strings(names)
 	out := make([]DatasetInfo, len(names))
 	for i, name := range names {
-		e := r.entries[name]
-		out[i] = DatasetInfo{
-			Name:      name,
-			N:         e.d.N(),
-			Version:   e.version,
-			HasTimes:  e.d.HasTimes(),
-			HasValues: e.d.HasValues(),
-		}
+		out[i] = r.entries[name].info
 	}
 	return out
 }

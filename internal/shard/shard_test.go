@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -61,7 +62,7 @@ func kdvReq(k kernel.Kernel, tx, ty int) shard.KDVRequest {
 // singleNode computes the reference raster the sharded run must reproduce.
 func singleNode(t *testing.T, d *dataset.Dataset, req shard.KDVRequest) []float64 {
 	t.Helper()
-	g, err := kde.NaiveCols(d.Columns(), kde.Options{
+	g, err := kde.Naive(d.Columns(), kde.Options{
 		Kernel: req.Kernel, Grid: req.Grid, Normalize: req.Normalize,
 	})
 	if err != nil {
@@ -262,6 +263,26 @@ func TestPlacementCacheSkipsReupload(t *testing.T) {
 	}
 	if again := counterValue(t, c, "shard_uploads_total"); again != uploads {
 		t.Fatalf("second run re-uploaded: %d -> %d", uploads, again)
+	}
+}
+
+// TestSameNameNewGridRecomputes pins tile naming to tile content: a second
+// KDV under the same logical name but over a different grid cuts different
+// halo subsets, so it must not reuse the first grid's tile datasets.
+func TestSameNameNewGridRecomputes(t *testing.T) {
+	d := testData(5, 400)
+	c, _, _ := cluster(t, 2, shard.Config{Replication: 1})
+	k := kernel.MustNew(kernel.Quartic, 9)
+	for i, box := range []geom.BBox{
+		{MinX: 0, MinY: 0, MaxX: 100, MaxY: 80},
+		{MinX: 20, MinY: 10, MaxX: 60, MaxY: 50},
+	} {
+		req := shard.KDVRequest{Kernel: k, Grid: geom.NewPixelGrid(box, 16, 12), TilesX: 2, TilesY: 2}
+		got, err := c.KDV(context.Background(), d, "ev", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, singleNode(t, d, req), got.Values, fmt.Sprintf("grid %d", i))
 	}
 }
 

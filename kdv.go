@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"geostat/internal/dataset"
 	"geostat/internal/kde"
 )
 
@@ -69,9 +70,6 @@ type KDVOptions struct {
 	// Seed drives KDVSampled's subset draw; the same (points, options,
 	// Seed) always yields the same surface.
 	Seed int64
-	// Weights optionally weights each event (severity, case counts).
-	// Supported by the exact methods; the approximate methods reject it.
-	Weights []float64
 	// Float32 opts into the single-precision fast path: kernel values come
 	// from a precomputed lookup table over float32 columns, accumulated in
 	// float64. Typical relative error is below 1e-3; the default float64
@@ -82,7 +80,7 @@ type KDVOptions struct {
 	// Ctx optionally bounds the computation (per-request timeouts, client
 	// disconnects): raster workers check it between row chunks and KDV
 	// returns ctx.Err() with a nil surface when it fires. Nil means no
-	// cancellation. KDVCtx is a convenience wrapper that sets this field.
+	// cancellation. KDVDatasetCtx sets this field from its argument.
 	Ctx context.Context
 	// Window optionally restricts evaluation to a pixel sub-rectangle of
 	// Grid (the shard coordinator's tile unit). Pixel centers come from the
@@ -92,73 +90,49 @@ type KDVOptions struct {
 	Window GridWindow
 }
 
-// KDVCtx computes a kernel density surface that honors ctx: the
-// computation stops between row chunks once ctx is cancelled or times out
-// and the error is ctx.Err(). Equivalent to setting opt.Ctx.
-func KDVCtx(ctx context.Context, pts []Point, opt KDVOptions) (*Heatmap, error) {
-	opt.Ctx = ctx
-	return KDV(pts, opt)
+// KDV computes a kernel density surface of unweighted points over
+// opt.Grid. It copies pts into columns once and runs the same evaluation
+// as KDVDatasetCtx.
+func KDV(pts []Point, opt KDVOptions) (*Heatmap, error) {
+	return kdv(dataset.MakeColumns(pts, nil), opt)
 }
 
-// KDV computes a kernel density surface over opt.Grid.
-func KDV(pts []Point, opt KDVOptions) (*Heatmap, error) {
+// KDVDatasetCtx computes a kernel density surface directly from a
+// Dataset's columnar storage, honouring ctx (see KDVOptions.Ctx). Every
+// method reads the columns in place, with no []Point materialisation.
+// Events are weighted by the dataset's weight column, set with
+// Dataset.SetWeights; the approximate methods reject weighted datasets.
+func KDVDatasetCtx(ctx context.Context, d *Dataset, opt KDVOptions) (*Heatmap, error) {
+	opt.Ctx = ctx
+	return kdv(d.Columns(), opt)
+}
+
+// kdv dispatches opt.Method over the columnar input.
+func kdv(cols dataset.Columns, opt KDVOptions) (*Heatmap, error) {
 	kopt := kde.Options{
 		Kernel:    opt.Kernel,
 		Grid:      opt.Grid,
 		Normalize: opt.Normalize,
 		Workers:   opt.Workers,
-		Weights:   opt.Weights,
 		Float32:   opt.Float32,
 		Ctx:       opt.Ctx,
 		Window:    opt.Window,
 	}
 	switch opt.Method {
 	case KDVAuto:
-		return kde.Exact(pts, kopt)
+		return kde.Exact(cols, kopt)
 	case KDVNaive:
-		return kde.Naive(pts, kopt)
+		return kde.Naive(cols, kopt)
 	case KDVGridCutoff:
-		return kde.GridCutoff(pts, kopt)
+		return kde.GridCutoff(cols, kopt)
 	case KDVSweepLine:
-		return kde.SweepLine(pts, kopt)
+		return kde.SweepLine(cols, kopt)
 	case KDVBoundApprox:
-		return kde.BoundApprox(pts, kopt, opt.Epsilon)
+		return kde.BoundApprox(cols, kopt, opt.Epsilon)
 	case KDVSampled:
-		return kde.Sampled(pts, kopt, opt.Seed, opt.Epsilon, opt.Delta)
+		return kde.Sampled(cols, kopt, opt.Seed, opt.Epsilon, opt.Delta)
 	}
 	return nil, fmt.Errorf("geostat: unknown KDV method %d", int(opt.Method))
-}
-
-// KDVDataset computes a kernel density surface directly from a Dataset.
-// The naive method (and KDVAuto's naive fallback) reads the dataset's
-// columnar storage in place — no []Point materialisation — and uses the
-// per-chunk bounding boxes to skip whole chunks outside the kernel
-// support. Results are bit-identical to KDV(d.Points(), opt). When
-// opt.Weights is nil the dataset's own weights column (if any) applies.
-func KDVDataset(d *Dataset, opt KDVOptions) (*Heatmap, error) {
-	if opt.Method == KDVNaive && opt.Weights == nil {
-		// The columnar path takes the weight column from the dataset itself.
-		kopt := kde.Options{
-			Kernel:    opt.Kernel,
-			Grid:      opt.Grid,
-			Normalize: opt.Normalize,
-			Workers:   opt.Workers,
-			Float32:   opt.Float32,
-			Ctx:       opt.Ctx,
-			Window:    opt.Window,
-		}
-		return kde.NaiveCols(d.Columns(), kopt)
-	}
-	if opt.Weights == nil {
-		opt.Weights = d.Weights()
-	}
-	return KDV(d.Points(), opt)
-}
-
-// KDVDatasetCtx is KDVDataset with an explicit context (see KDVCtx).
-func KDVDatasetCtx(ctx context.Context, d *Dataset, opt KDVOptions) (*Heatmap, error) {
-	opt.Ctx = ctx
-	return KDVDataset(d, opt)
 }
 
 // SweepLineSupports reports whether the sweep-line method handles the
