@@ -9,9 +9,9 @@ RACE_PKGS = ./...
 # below this. Raise it when coverage improves; never lower it.
 COVER_RATCHET = 80.0
 
-.PHONY: check vet build test race determinism lint lint-debt debt-gate cover fuzz-smoke bench bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
+.PHONY: check vet build test race determinism perfbench-check lint lint-debt debt-gate cover fuzz-smoke bench bench-json bench-diff smoke load-smoke load-baseline shard-smoke shard-baseline
 
-check: vet build test race lint debt-gate
+check: vet build test race perfbench-check lint debt-gate
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +34,12 @@ determinism:
 	$(GO) test -count=$(DETERMINISM_COUNT) -run 'Determinism|Golden|BitIdent|Invariance' .
 	$(GO) test -count=$(DETERMINISM_COUNT) -run 'Golden' ./cmd/...
 	$(GO) test -count=$(DETERMINISM_COUNT) ./internal/shard/...
+
+# perfbench/ is its own Go module, so `go build ./...` above never
+# compiles it: a facade change that breaks the benchmark harness would go
+# unseen until the benchmark runs. Vet and test it here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # geolint: the project-specific analyzers (see internal/lint). One
 # invocation typechecks the whole module with cross-package fact

@@ -155,13 +155,13 @@ func BenchmarkGeary(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
 	d := UniformCSR(r, 5000, benchBox)
 	WithField(r, d, func(p Point) float64 { return p.X }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsWorkers(d.Points(), 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := GearyC(d.Values(), w, 99, r); err != nil {
+		if _, err := GearyCOpt(d.Values(), w, MoranOptions{Perms: 99, Seed: r.Int63(), Workers: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -370,7 +370,7 @@ func BenchmarkMoran(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	d := UniformCSR(rng, 5000, benchBox)
 	WithField(rng, d, func(p Point) float64 { return p.X }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsWorkers(d.Points(), 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func BenchmarkMoran(b *testing.B) {
 		b.Run(fmt.Sprintf("perms=%d", perms), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MoranI(d.Values(), w, perms, rng); err != nil {
+				if _, err := MoranIOpt(d.Values(), w, MoranOptions{Perms: perms, Seed: rng.Int63(), Workers: -1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -391,13 +391,13 @@ func BenchmarkGetisOrd(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	d := UniformCSR(rng, 5000, benchBox)
 	WithField(rng, d, func(p Point) float64 { return p.X + 100 }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsWorkers(d.Points(), 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("generalG-perms99", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := GeneralG(d.Values(), w, 99, 7); err != nil {
+			if _, err := GeneralGOpt(d.Values(), w, GetisOrdOptions{Perms: 99, Seed: 7, Workers: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -479,7 +479,7 @@ func BenchmarkMoranParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	d := UniformCSR(rng, 20000, benchBox)
 	WithField(rng, d, func(p Point) float64 { return p.X }, 1)
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsWorkers(d.Points(), 8, -1)
 	if err != nil {
 		b.Fatal(err)
 	}

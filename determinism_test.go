@@ -22,7 +22,7 @@ func detValued(n int) *Dataset {
 
 func TestMoranGlobalWorkerInvariance(t *testing.T) {
 	d := detValued(300)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsWorkers(d.Points(), 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMoranGlobalWorkerInvariance(t *testing.T) {
 
 func TestMoranLocalWorkerInvariance(t *testing.T) {
 	d := detValued(200)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsWorkers(d.Points(), 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestMoranLocalWorkerInvariance(t *testing.T) {
 
 func TestGearyWorkerInvariance(t *testing.T) {
 	d := detValued(300)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsWorkers(d.Points(), 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestGearyWorkerInvariance(t *testing.T) {
 
 func TestGeneralGWorkerInvariance(t *testing.T) {
 	d := detValued(300)
-	w, err := DistanceBandWeights(d.Points(), 8)
+	w, err := DistanceBandWeightsWorkers(d.Points(), 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,14 +51,14 @@ func ExampleKFunctionPlot() {
 }
 
 // The spatial autocorrelation screen before interpolating sensor data.
-func ExampleMoranI() {
+func ExampleMoranIOpt() {
 	rng := rand.New(rand.NewSource(3))
 	region := geostat.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	sensors := geostat.UniformCSR(rng, 500, region)
 	geostat.WithField(rng, sensors, func(p geostat.Point) float64 { return p.X / 10 }, 0.5)
 
-	w, _ := geostat.KNNWeights(sensors.Points(), 8)
-	res, _ := geostat.MoranI(sensors.Values(), w, 99, rng)
+	w, _ := geostat.KNNWeightsWorkers(sensors.Points(), 8, -1)
+	res, _ := geostat.MoranIOpt(sensors.Values(), w, geostat.MoranOptions{Perms: 99, Seed: rng.Int63(), Workers: -1})
 	fmt.Printf("positive autocorrelation: %v (p < 0.05: %v)\n", res.I > 0.5, res.P < 0.05)
 	// Output: positive autocorrelation: true (p < 0.05: true)
 }

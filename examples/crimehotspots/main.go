@@ -103,7 +103,7 @@ func main() {
 			cellCenters = append(cellCenters, coarse.Center(ix, iy))
 		}
 	}
-	w, err := geostat.DistanceBandWeights(cellCenters, 11)
+	w, err := geostat.DistanceBandWeightsWorkers(cellCenters, 11, -1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,11 +13,11 @@ func TestGearyFacade(t *testing.T) {
 	r := rand.New(rand.NewSource(60))
 	d := UniformCSR(r, 300, box)
 	WithField(r, d, func(p Point) float64 { return p.X }, 0.5)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsWorkers(d.Points(), 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := GearyC(d.Values(), w, 99, r)
+	g, err := GearyCOpt(d.Values(), w, MoranOptions{Perms: 99, Seed: r.Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,25 +16,29 @@
 //
 //   - KFunction — Ripley's K with Monte-Carlo envelope plots; network and
 //     spatiotemporal variants.
-//   - MoranI / LocalMoran — global and local spatial autocorrelation.
-//   - GeneralG / LocalGStar — Getis-Ord concentration statistics.
+//   - MoranIOpt / LocalMoranOpt / GearyCOpt — global and local spatial
+//     autocorrelation.
+//   - GeneralGOpt / LocalGStar — Getis-Ord concentration statistics.
 //   - DBSCAN / KMeans — spatial clustering.
 //
 // The package is a facade: each tool lives in its own internal package and
-// is re-exported here with a uniform, option-struct API. Every tool takes
-// explicit options, returns errors rather than panicking, and is
-// deterministic given a seeded *rand.Rand.
+// is re-exported here with a uniform, option-struct API and one entry
+// point per tool. Every tool takes explicit options, returns errors rather
+// than panicking, and is deterministic given a seeded *rand.Rand or an
+// explicit seed. The permutation tests share one configuration,
+// MoranOptions (= GetisOrdOptions): Perms, Seed, Workers and Ctx.
 //
 // # Cancellation
 //
 // The heavy entry points are cancellable: KDVOptions, IDWOptions,
 // KPlotOptions, MoranOptions and GetisOrdOptions carry an optional Ctx
-// field (and KDVDatasetCtx / KFunctionCurveCtx accept a context
-// directly). Worker pools inside internal/parallel check the context
-// between work chunks, so a per-request timeout or client disconnect
-// stops the computation within one chunk (≤ 256 iterations) and the entry
-// point returns ctx.Err(). A nil Ctx means no cancellation; results are
-// bit-identical whether or not a (live) context is supplied. This is what lets the geostatd serving
+// field (and KDVDatasetCtx accepts a context directly). Worker pools
+// inside internal/parallel check the context between work chunks — a
+// K-function plot's envelope simulations included — so a per-request
+// timeout or client disconnect stops the computation within one chunk
+// (≤ 256 iterations) and the entry point returns ctx.Err(). A nil Ctx
+// means no cancellation; results are bit-identical whether or not a
+// (live) context is supplied. This is what lets the geostatd serving
 // layer (cmd/geostatd, internal/serve) abandon abandoned requests without
 // leaking goroutines.
 package geostat

@@ -264,21 +264,21 @@ func TestAutocorrelationFacade(t *testing.T) {
 	d := UniformCSR(r, 400, box)
 	WithField(r, d, func(p Point) float64 { return p.X + p.Y }, 1)
 
-	w, err := KNNWeights(d.Points(), 8)
+	w, err := KNNWeightsWorkers(d.Points(), 8, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi, err := MoranI(d.Values(), w, 99, r)
+	mi, err := MoranIOpt(d.Values(), w, MoranOptions{Perms: 99, Seed: r.Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mi.I < 0.5 {
 		t.Errorf("gradient Moran I = %v", mi.I)
 	}
-	if _, err := LocalMoran(d.Values(), w, 0, nil); err != nil {
+	if _, err := LocalMoranOpt(d.Values(), w, MoranOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	wb, err := DistanceBandWeights(d.Points(), 10)
+	wb, err := DistanceBandWeightsWorkers(d.Points(), 10, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestAutocorrelationFacade(t *testing.T) {
 	for i, v := range d.Values() {
 		pos[i] = v + 10
 	}
-	gg, err := GeneralG(pos, wb, 99, 11)
+	gg, err := GeneralGOpt(pos, wb, GetisOrdOptions{Perms: 99, Seed: 11, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,19 +83,19 @@ func RunT1(cfg *Config) error {
 			return err
 		},
 		"Moran's I": func() error {
-			w, err := geostat.KNNWeights(d.Points(), 6)
+			w, err := geostat.KNNWeightsWorkers(d.Points(), 6, -1)
 			if err != nil {
 				return err
 			}
-			_, err = geostat.MoranI(d.Values(), w, 19, rng)
+			_, err = geostat.MoranIOpt(d.Values(), w, geostat.MoranOptions{Perms: 19, Seed: rng.Int63(), Workers: -1})
 			return err
 		},
 		"Getis-Ord General G / Gi*": func() error {
-			w, err := geostat.DistanceBandWeights(d.Points(), 10)
+			w, err := geostat.DistanceBandWeightsWorkers(d.Points(), 10, -1)
 			if err != nil {
 				return err
 			}
-			if _, gerr := geostat.GeneralG(d.Values(), w, 19, cfg.Seed); gerr != nil {
+			if _, gerr := geostat.GeneralGOpt(d.Values(), w, geostat.GetisOrdOptions{Perms: 19, Seed: cfg.Seed, Workers: -1}); gerr != nil {
 				return gerr
 			}
 			_, err = geostat.LocalGStar(d.Values(), w)

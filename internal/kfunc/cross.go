@@ -10,6 +10,7 @@ import (
 	"geostat/internal/geom"
 	gridindex "geostat/internal/index/grid"
 	"geostat/internal/parallel"
+	"geostat/internal/stat"
 )
 
 // Cross-type and space-time interaction extensions of the K-function
@@ -166,15 +167,12 @@ func Knox(pts []geom.Point, times []float64, s, t float64, perms, workers int, r
 		return c
 	}
 	obs := countClose(times)
-	samples := make([]float64, perms)
-	parallel.MonteCarloScratch(perms, workers, rng.Int63(),
-		func() []float64 { return make([]float64, n) },
-		func(rng *rand.Rand, perm []float64, p int) {
-			copy(perm, times)
-			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			samples[p] = float64(countClose(perm))
-		})
-	mean, std := permMeanStd(samples)
+	samples, err := stat.Permute(times, stat.PermOptions{Perms: perms, Seed: rng.Int63(), Workers: workers},
+		func(perm []float64) float64 { return float64(countClose(perm)) })
+	if err != nil {
+		return nil, err
+	}
+	mean, std := stat.MeanStd(samples)
 	res := &KnoxResult{Statistic: obs, PermMean: mean, PermStd: std, Perms: perms}
 	if std > 0 {
 		res.Z = (float64(obs) - mean) / std
@@ -187,17 +185,4 @@ func Knox(pts []geom.Point, times []float64, s, t float64, perms, workers int, r
 	}
 	res.P = float64(extreme+1) / float64(perms+1)
 	return res, nil
-}
-
-func permMeanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

@@ -97,16 +97,17 @@ func RTreeIndexed(pts []geom.Point, s float64) int {
 // (ascending) in a single pass: pairs within the largest threshold are
 // enumerated once through a grid index and histogrammed by distance.
 // Workers parallelises the per-point enumeration (0/1 serial, <0 =
-// GOMAXPROCS).
+// GOMAXPROCS). A cancellable curve comes with a plot: set
+// PlotOptions.Ctx.
 func Curve(pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
-	//lint:allow ctxflow Curve is the sanctioned non-ctx compatibility wrapper (same contract as parallel.For); callers that have a context use CurveCtx
-	return CurveCtx(context.Background(), pts, thresholds, workers)
+	//lint:allow ctxflow Curve is the non-ctx public entry (same contract as parallel.For); the plot constructors pass their ctx to curve
+	return curve(context.Background(), pts, thresholds, workers)
 }
 
-// CurveCtx is Curve with cooperative cancellation: workers check ctx
-// between chunks of the pair enumeration and the call returns ctx.Err()
-// (with a nil slice) when it fires.
-func CurveCtx(ctx context.Context, pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
+// curve is Curve with cooperative cancellation: workers check ctx between
+// chunks of the pair enumeration and the call returns ctx.Err() (with a
+// nil slice) when it fires.
+func curve(ctx context.Context, pts []geom.Point, thresholds []float64, workers int) ([]int, error) {
 	if err := checkThresholds(thresholds); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package kfunc
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -228,6 +231,26 @@ func TestPlotValidation(t *testing.T) {
 	}
 	if _, err := MakePlot(nil, PlotOptions{Thresholds: []float64{1}, Simulations: 1}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("empty dataset with no window accepted")
+	}
+}
+
+// A simulation already running when the plot's ctx fires must stop and
+// surface the cancellation, not finish its curve and return a full plot.
+func TestPlotSimulationSeesCancellation(t *testing.T) {
+	pts := csr(1, 300)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opt := PlotOptions{Thresholds: []float64{5, 10}, Simulations: 1, Workers: workers, Ctx: ctx}
+			p, err := makePlotSeeded(pts, opt, 7, func(rng *rand.Rand, _ int) []geom.Point {
+				cancel()
+				return dataset.UniformCSR(rng, len(pts), box).Points()
+			})
+			if !errors.Is(err, context.Canceled) || p != nil {
+				t.Fatalf("got plot %v, err %v; want nil plot and context.Canceled", p != nil, err)
+			}
+		})
 	}
 }
 

@@ -138,7 +138,8 @@ func innerWorkers(workers, sims int) int {
 //
 // simulate is invoked SERIALLY (it may close over shared state such as a
 // rand.Rand); only each simulated dataset's curve uses opt.Workers. For a
-// fully parallel envelope use MakePlotSeeded with an rng-taking simulator.
+// fully parallel envelope use MakePlot, whose CSR simulations are seeded
+// per simulation.
 func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.Point) (*Plot, error) {
 	if opt.Simulations < 1 {
 		return nil, fmt.Errorf("kfunc: need at least 1 simulation, got %d", opt.Simulations)
@@ -147,13 +148,13 @@ func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.
 		return nil, err
 	}
 	ctx := opt.context()
-	obs, err := CurveCtx(ctx, pts, opt.Thresholds, opt.Workers)
+	obs, err := curve(ctx, pts, opt.Thresholds, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
 	p := newPlot(opt.Thresholds, obs, opt.Simulations)
 	for l := 0; l < opt.Simulations; l++ {
-		counts, err := CurveCtx(ctx, simulate(), opt.Thresholds, opt.Workers)
+		counts, err := curve(ctx, simulate(), opt.Thresholds, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -162,12 +163,13 @@ func MakePlotWithNull(pts []geom.Point, opt PlotOptions, simulate func() []geom.
 	return p, nil
 }
 
-// MakePlotSeeded computes a K-function plot whose envelope simulations fan
+// makePlotSeeded computes a K-function plot whose envelope simulations fan
 // out across opt.Workers goroutines. simulate(rng, l) must generate the
 // l-th null dataset from rng alone (it is called concurrently); rng is
 // seeded deterministically from (seed, l), so the envelopes are
-// bit-identical for every worker count.
-func MakePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func(rng *rand.Rand, l int) []geom.Point) (*Plot, error) {
+// bit-identical for every worker count. Each simulation's curve checks ctx
+// too, so a running simulation stops within one chunk of cancellation.
+func makePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func(rng *rand.Rand, l int) []geom.Point) (*Plot, error) {
 	if opt.Simulations < 1 {
 		return nil, fmt.Errorf("kfunc: need at least 1 simulation, got %d", opt.Simulations)
 	}
@@ -175,7 +177,7 @@ func MakePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func
 		return nil, err
 	}
 	ctx := opt.context()
-	obs, err := CurveCtx(ctx, pts, opt.Thresholds, opt.Workers)
+	obs, err := curve(ctx, pts, opt.Thresholds, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +186,7 @@ func MakePlotSeeded(pts []geom.Point, opt PlotOptions, seed int64, simulate func
 	var mu sync.Mutex
 	var firstErr error
 	mcErr := parallel.MonteCarloCtx(ctx, opt.Simulations, opt.Workers, seed, func(rng *rand.Rand, l int) {
-		counts, err := Curve(simulate(rng, l), opt.Thresholds, inner)
+		counts, err := curve(ctx, simulate(rng, l), opt.Thresholds, inner)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -218,7 +220,7 @@ func MakePlot(pts []geom.Point, opt PlotOptions, rng *rand.Rand) (*Plot, error) 
 		}
 	}
 	n := len(pts)
-	return MakePlotSeeded(pts, opt, rng.Int63(), func(rng *rand.Rand, _ int) []geom.Point {
+	return makePlotSeeded(pts, opt, rng.Int63(), func(rng *rand.Rand, _ int) []geom.Point {
 		return dataset.UniformCSR(rng, n, window).Points()
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"geostat/internal/geom"
+	"geostat/internal/stat"
 	"geostat/internal/weights"
 )
 
@@ -27,23 +28,9 @@ type GearyResult struct {
 //
 //	C = (n−1)·Σ_ij w_ij·(x_i − x_j)² / (2·S0·Σ_i (x_i − x̄)²)
 //
-// with an optional permutation test (perms > 0, rng required). Equivalent
-// to GearyOpt with a seed drawn from rng and every core.
-func Geary(values []float64, w *weights.Matrix, perms int, rng *rand.Rand) (*GearyResult, error) {
-	if perms > 0 && rng == nil {
-		return nil, fmt.Errorf("moran: permutation test requires a rng")
-	}
-	var seed int64
-	if rng != nil {
-		seed = rng.Int63()
-	}
-	return GearyOpt(values, w, Options{Perms: perms, Seed: seed, Workers: -1})
-}
-
-// GearyOpt computes Geary's C with an explicit permutation-test
-// configuration; permutations fan out across opt.Workers with results
-// bit-identical for every worker count.
-func GearyOpt(values []float64, w *weights.Matrix, opt Options) (*GearyResult, error) {
+// with an optional permutation test (opt.Perms > 0); permutations fan out
+// across opt.Workers with results bit-identical for every worker count.
+func Geary(values []float64, w *weights.Matrix, opt stat.PermOptions) (*GearyResult, error) {
 	n := len(values)
 	if n != w.N {
 		return nil, fmt.Errorf("moran: %d values but weight matrix over %d sites", n, w.N)
@@ -63,14 +50,14 @@ func GearyOpt(values []float64, w *weights.Matrix, opt Options) (*GearyResult, e
 	if opt.Perms <= 0 {
 		return res, nil
 	}
-	samples, err := permuteSamples(values, opt, func(perm []float64) float64 {
+	samples, err := stat.Permute(values, opt, func(perm []float64) float64 {
 		s, _ := gearyStatistic(perm, w, s0)
 		return s
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.PermMean, res.PermStd, res.Z, res.P = permSummary(obs, samples)
+	res.PermMean, res.PermStd, res.Z, res.P = stat.PermSummary(obs, samples)
 	return res, nil
 }
 
@@ -110,10 +97,14 @@ type CorrelogramPoint struct {
 // spatial correlogram showing how autocorrelation decays with scale (the
 // autocorrelation analogue of the K-function's threshold sweep). Radii
 // must be positive and increasing. Bands with an empty weight matrix are
-// skipped.
+// skipped. perms > 0 adds a permutation test per band, each seeded from
+// the next draw of rng and fanned out across every core.
 func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int, rng *rand.Rand) ([]CorrelogramPoint, error) {
 	if len(pts) != len(values) {
 		return nil, fmt.Errorf("moran: %d points but %d values", len(pts), len(values))
+	}
+	if perms > 0 && rng == nil {
+		return nil, fmt.Errorf("moran: permutation test requires a rng")
 	}
 	prev := 0.0
 	for i, r := range radii {
@@ -124,12 +115,16 @@ func Correlogram(pts []geom.Point, values []float64, radii []float64, perms int,
 	}
 	var out []CorrelogramPoint
 	for _, r := range radii {
-		w, err := weights.DistanceBand(pts, r)
+		w, err := weights.DistanceBand(pts, r, -1)
 		if err != nil {
 			return nil, err
 		}
 		w.RowStandardize()
-		res, err := Global(values, w, perms, rng)
+		opt := stat.PermOptions{Perms: perms, Workers: -1}
+		if rng != nil {
+			opt.Seed = rng.Int63()
+		}
+		res, err := Global(values, w, opt)
 		if err != nil {
 			continue // empty band at this radius: skip
 		}

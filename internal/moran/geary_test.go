@@ -3,9 +3,11 @@ package moran
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"geostat/internal/geom"
+	"geostat/internal/stat"
 )
 
 func TestGearyGradient(t *testing.T) {
@@ -15,7 +17,7 @@ func TestGearyGradient(t *testing.T) {
 	for i, p := range pts {
 		vals[i] = p.X + p.Y
 	}
-	res, err := Geary(vals, w, 199, rand.New(rand.NewSource(1)))
+	res, err := Geary(vals, w, stat.PermOptions{Perms: 199, Seed: rand.New(rand.NewSource(1)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestGearyCheckerboard(t *testing.T) {
 			vals[i] = -1
 		}
 	}
-	res, err := Geary(vals, w, 199, rand.New(rand.NewSource(2)))
+	res, err := Geary(vals, w, stat.PermOptions{Perms: 199, Seed: rand.New(rand.NewSource(2)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestGearyRandom(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.NormFloat64()
 		}
-		res, err := Geary(vals, w, 199, r)
+		res, err := Geary(vals, w, stat.PermOptions{Perms: 199, Seed: r.Int63(), Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,21 +84,18 @@ func TestGearyRandom(t *testing.T) {
 func TestGearyValidation(t *testing.T) {
 	pts := gridPoints(3)
 	w := bandW(t, pts)
-	if _, err := Geary([]float64{1}, w, 0, nil); err == nil {
+	if _, err := Geary([]float64{1}, w, stat.PermOptions{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	constVals := make([]float64, len(pts))
-	if _, err := Geary(constVals, w, 0, nil); err == nil {
+	if _, err := Geary(constVals, w, stat.PermOptions{}); err == nil {
 		t.Error("constant values accepted")
 	}
 	vals := make([]float64, len(pts))
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if _, err := Geary(vals, w, 10, nil); err == nil {
-		t.Error("perms without rng accepted")
-	}
-	res, err := Geary(vals, w, 0, nil)
+	res, err := Geary(vals, w, stat.PermOptions{})
 	if err != nil || res.Perms != 0 {
 		t.Errorf("no-perm run: %+v, %v", res, err)
 	}
@@ -113,11 +112,11 @@ func TestGearyMoranConsistency(t *testing.T) {
 		for i, p := range pts {
 			vals[i] = p.X*2 + r.NormFloat64()*0.5
 		}
-		g, err := Geary(vals, w, 0, nil)
+		g, err := Geary(vals, w, stat.PermOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Global(vals, w, 0, nil)
+		m, err := Global(vals, w, stat.PermOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,6 +222,9 @@ func TestCorrelogramValidation(t *testing.T) {
 	}
 	if _, err := Correlogram(pts, vals, []float64{2, 2}, 0, nil); err == nil {
 		t.Error("non-increasing radii accepted")
+	}
+	if _, err := Correlogram(pts, vals, []float64{1.5}, 10, nil); err == nil || !strings.Contains(err.Error(), "requires a rng") {
+		t.Errorf("perms without rng: err = %v, want the missing-rng error", err)
 	}
 	if _, err := Correlogram(pts, vals, []float64{0.1}, 0, nil); err == nil {
 		t.Error("all-empty bands accepted")

@@ -4,39 +4,13 @@
 package moran
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"geostat/internal/parallel"
+	"geostat/internal/stat"
 	"geostat/internal/weights"
 )
-
-// Options configures a permutation test. Permutation p shuffles its own
-// copy of the values with an RNG derived deterministically from (Seed, p),
-// so results are bit-identical for every Workers value.
-type Options struct {
-	// Perms is the number of permutations; 0 skips the test.
-	Perms int
-	// Seed drives the permutation RNGs.
-	Seed int64
-	// Workers fans permutations out across goroutines (0/1 serial, <0
-	// GOMAXPROCS).
-	Workers int
-	// Ctx optionally bounds the permutation test: workers check it between
-	// task chunks and the entry point returns ctx.Err() (with a nil
-	// result) when it fires. Nil means no cancellation.
-	Ctx context.Context
-}
-
-// context returns the effective context of the test.
-func (o *Options) context() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
 
 // Result is a global Moran's I with its permutation test.
 type Result struct {
@@ -53,24 +27,10 @@ type Result struct {
 //
 //	I = (n/S0) · Σ_ij w_ij·(z_i − z̄)(z_j − z̄) / Σ_i (z_i − z̄)²
 //
-// perms > 0 adds a permutation test driven by rng (values are shuffled,
-// geometry fixed). Equivalent to GlobalOpt with a seed drawn from rng and
-// every core.
-func Global(values []float64, w *weights.Matrix, perms int, rng *rand.Rand) (*Result, error) {
-	if perms > 0 && rng == nil {
-		return nil, fmt.Errorf("moran: permutation test requires a rng")
-	}
-	var seed int64
-	if rng != nil {
-		seed = rng.Int63()
-	}
-	return GlobalOpt(values, w, Options{Perms: perms, Seed: seed, Workers: -1})
-}
-
-// GlobalOpt computes Moran's I with an explicit permutation-test
-// configuration; permutations fan out across opt.Workers with results
+// opt.Perms > 0 adds a permutation test (values are shuffled, geometry
+// fixed); permutations fan out across opt.Workers with results
 // bit-identical for every worker count.
-func GlobalOpt(values []float64, w *weights.Matrix, opt Options) (*Result, error) {
+func Global(values []float64, w *weights.Matrix, opt stat.PermOptions) (*Result, error) {
 	n := len(values)
 	if n != w.N {
 		return nil, fmt.Errorf("moran: %d values but weight matrix over %d sites", n, w.N)
@@ -94,52 +54,15 @@ func GlobalOpt(values []float64, w *weights.Matrix, opt Options) (*Result, error
 	if opt.Perms <= 0 {
 		return res, nil
 	}
-	samples, err := permuteSamples(values, opt, func(perm []float64) float64 {
+	samples, err := stat.Permute(values, opt, func(perm []float64) float64 {
 		s, _ := statistic(perm, w, s0)
 		return s
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.PermMean, res.PermStd, res.Z, res.P = permSummary(obs, samples)
+	res.PermMean, res.PermStd, res.Z, res.P = stat.PermSummary(obs, samples)
 	return res, nil
-}
-
-// permuteSamples evaluates stat on opt.Perms random permutations of
-// values, fanning out across opt.Workers. Each permutation copies values
-// into a per-worker buffer and shuffles it with its own derived RNG — no
-// cross-permutation state, so any worker count gives the same samples.
-func permuteSamples(values []float64, opt Options, stat func(perm []float64) float64) ([]float64, error) {
-	n := len(values)
-	samples := make([]float64, opt.Perms)
-	_, err := parallel.MonteCarloScratchCtx(opt.context(), opt.Perms, opt.Workers, opt.Seed,
-		func() []float64 { return make([]float64, n) },
-		func(rng *rand.Rand, perm []float64, p int) {
-			copy(perm, values)
-			rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			samples[p] = stat(perm)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
-}
-
-// permSummary reduces a permutation distribution to its mean/std, the
-// observed z-score, and the two-sided pseudo p-value (r+1)/(perms+1).
-func permSummary(obs float64, samples []float64) (mean, std, z, p float64) {
-	mean, std = meanStd(samples)
-	if std > 0 {
-		z = (obs - mean) / std
-	}
-	extreme := 0
-	for _, s := range samples {
-		if math.Abs(s-mean) >= math.Abs(obs-mean) {
-			extreme++
-		}
-	}
-	p = float64(extreme+1) / float64(len(samples)+1)
-	return mean, std, z, p
 }
 
 // statistic computes I; ok=false when the values have zero variance.
@@ -175,24 +98,10 @@ type LocalResult struct {
 //	I_i = (z_i/m2) · Σ_j w_ij·z_j,   m2 = Σ_k z_k²/n
 //
 // with conditional-permutation z-scores (value i fixed, others shuffled)
-// when perms > 0. Equivalent to LocalOpt with a seed drawn from rng and
-// every core.
-func Local(values []float64, w *weights.Matrix, perms int, rng *rand.Rand) ([]LocalResult, error) {
-	if perms > 0 && rng == nil {
-		return nil, fmt.Errorf("moran: permutation test requires a rng")
-	}
-	var seed int64
-	if rng != nil {
-		seed = rng.Int63()
-	}
-	return LocalOpt(values, w, Options{Perms: perms, Seed: seed, Workers: -1})
-}
-
-// LocalOpt computes local Moran's I with an explicit permutation-test
-// configuration; sites fan out across opt.Workers, each drawing its
+// when opt.Perms > 0. Sites fan out across opt.Workers, each drawing its
 // conditional permutations from an RNG derived from (opt.Seed, site), so
 // the z-scores are bit-identical for every worker count.
-func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, error) {
+func Local(values []float64, w *weights.Matrix, opt stat.PermOptions) ([]LocalResult, error) {
 	n := len(values)
 	if n != w.N {
 		return nil, fmt.Errorf("moran: %d values but weight matrix over %d sites", n, w.N)
@@ -232,7 +141,7 @@ func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, 
 	// z \ {z_i} is equivalent and cheaper. Sites fan out across workers;
 	// each site's draws come from its own (Seed, i)-derived RNG and only
 	// out[i] is written, so any worker count gives the same z-scores.
-	_, mcErr := parallel.MonteCarloScratchCtx(opt.context(), n, opt.Workers, opt.Seed,
+	_, mcErr := parallel.MonteCarloScratchCtx(opt.Context(), n, opt.Workers, opt.Seed,
 		func() []float64 { return make([]float64, opt.Perms) },
 		func(rng *rand.Rand, samples []float64, i int) {
 			if w.Degree(i) == 0 {
@@ -250,7 +159,7 @@ func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, 
 				})
 				samples[p] = z[i] / m2 * s
 			}
-			mean, std := meanStd(samples)
+			mean, std := stat.MeanStd(samples)
 			if std > 0 {
 				out[i].Z = (out[i].I - mean) / std
 			}
@@ -259,17 +168,4 @@ func LocalOpt(values []float64, w *weights.Matrix, opt Options) ([]LocalResult, 
 		return nil, mcErr
 	}
 	return out, nil
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"geostat/internal/geom"
+	"geostat/internal/stat"
 	"geostat/internal/weights"
 )
 
@@ -21,7 +22,7 @@ func gridPoints(n int) []geom.Point {
 
 func bandW(t *testing.T, pts []geom.Point) *weights.Matrix {
 	t.Helper()
-	w, err := weights.DistanceBand(pts, 1.0)
+	w, err := weights.DistanceBand(pts, 1.0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,24 +32,21 @@ func bandW(t *testing.T, pts []geom.Point) *weights.Matrix {
 func TestValidation(t *testing.T) {
 	pts := gridPoints(3)
 	w := bandW(t, pts)
-	if _, err := Global([]float64{1, 2}, w, 0, nil); err == nil {
+	if _, err := Global([]float64{1, 2}, w, stat.PermOptions{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	constVals := make([]float64, len(pts))
-	if _, err := Global(constVals, w, 0, nil); err == nil {
+	if _, err := Global(constVals, w, stat.PermOptions{}); err == nil {
 		t.Error("constant values accepted")
 	}
 	vals := make([]float64, len(pts))
 	for i := range vals {
 		vals[i] = float64(i)
 	}
-	if _, err := Global(vals, w, 100, nil); err == nil {
-		t.Error("perms without rng accepted")
-	}
-	if _, err := Local(vals[:4], w, 0, nil); err == nil {
+	if _, err := Local(vals[:4], w, stat.PermOptions{}); err == nil {
 		t.Error("Local length mismatch accepted")
 	}
-	if _, err := Local(constVals, w, 0, nil); err == nil {
+	if _, err := Local(constVals, w, stat.PermOptions{}); err == nil {
 		t.Error("Local constant values accepted")
 	}
 }
@@ -61,7 +59,7 @@ func TestGlobalPositiveOnGradient(t *testing.T) {
 	for i, p := range pts {
 		vals[i] = p.X + p.Y
 	}
-	res, err := Global(vals, w, 199, rand.New(rand.NewSource(1)))
+	res, err := Global(vals, w, stat.PermOptions{Perms: 199, Seed: rand.New(rand.NewSource(1)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestGlobalNegativeOnCheckerboard(t *testing.T) {
 			vals[i] = -1
 		}
 	}
-	res, err := Global(vals, w, 199, rand.New(rand.NewSource(2)))
+	res, err := Global(vals, w, stat.PermOptions{Perms: 199, Seed: rand.New(rand.NewSource(2)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestGlobalRandomIsInsignificant(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.NormFloat64()
 		}
-		res, err := Global(vals, w, 199, r)
+		res, err := Global(vals, w, stat.PermOptions{Perms: 199, Seed: r.Int63(), Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +133,7 @@ func TestGlobalWithoutPerms(t *testing.T) {
 	for i, p := range pts {
 		vals[i] = p.X
 	}
-	res, err := Global(vals, w, 0, nil)
+	res, err := Global(vals, w, stat.PermOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +153,7 @@ func TestLocalHotspot(t *testing.T) {
 			vals[i] = 10
 		}
 	}
-	res, err := Local(vals, w, 99, rand.New(rand.NewSource(4)))
+	res, err := Local(vals, w, stat.PermOptions{Perms: 99, Seed: rand.New(rand.NewSource(4)).Int63(), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +182,11 @@ func TestLocalSumMatchesGlobal(t *testing.T) {
 	for i := range vals {
 		vals[i] = r.NormFloat64() + pts[i].X/4
 	}
-	g, err := Global(vals, w, 0, nil)
+	g, err := Global(vals, w, stat.PermOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := Local(vals, w, 0, nil)
+	local, err := Local(vals, w, stat.PermOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -307,28 +307,23 @@ func TestHealthzReportsCacheStats(t *testing.T) {
 	}
 }
 
+// TestDebugVarsExposesMetrics checks the request counters on /metrics,
+// which are per server and therefore exact, and that /debug/vars still
+// serves the runtime's expvar variables without duplicating them.
 func TestDebugVarsExposesMetrics(t *testing.T) {
 	srv := newServer(t, serve.Config{CacheBytes: 64 << 20})
 	generate(t, srv, "name=d&kind=csr&n=200&seed=1")
 	const q = "/v1/kdv?dataset=d&bandwidth=10&width=16&height=16&seed=42"
-
-	hitsBefore, _ := debugVar(t, srv, "geostatd.cache_hits")
 	do(t, srv, http.MethodGet, q, nil)
 	do(t, srv, http.MethodGet, q, nil)
-	hitsAfter, reqs := debugVar(t, srv, "geostatd.cache_hits")
 
-	// Metrics are process-wide (expvar), so assert on deltas.
-	if hitsAfter-hitsBefore != 1 {
-		t.Fatalf("cache_hits delta = %d, want 1", hitsAfter-hitsBefore)
+	if got := metricValue(t, srv, "geostatd_cache_hits_total"); got != 1 {
+		t.Fatalf("geostatd_cache_hits_total = %v, want 1", got)
 	}
-	if reqs == 0 {
-		t.Fatal("geostatd.requests has no kdv count")
+	if got := metricValue(t, srv, `geostatd_requests_total{tool="kdv"}`); got != 2 {
+		t.Fatalf(`geostatd_requests_total{tool="kdv"} = %v, want 2`, got)
 	}
-}
 
-// debugVar reads one counter and the kdv request count from /debug/vars.
-func debugVar(t *testing.T, srv *serve.Server, name string) (int64, int64) {
-	t.Helper()
 	rr := do(t, srv, http.MethodGet, "/debug/vars", nil)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("/debug/vars: status %d", rr.Code)
@@ -337,19 +332,14 @@ func debugVar(t *testing.T, srv *serve.Server, name string) (int64, int64) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &vars); err != nil {
 		t.Fatal(err)
 	}
-	var v int64
-	if raw, ok := vars[name]; ok {
-		if err := json.Unmarshal(raw, &v); err != nil {
-			t.Fatalf("parse %s: %v", name, err)
+	if _, ok := vars["memstats"]; !ok {
+		t.Fatal("/debug/vars has no memstats")
+	}
+	for name := range vars {
+		if strings.HasPrefix(name, "geostatd.") {
+			t.Fatalf("/debug/vars still carries %s, which /metrics counts", name)
 		}
 	}
-	var reqs struct {
-		KDV int64 `json:"kdv"`
-	}
-	if raw, ok := vars["geostatd.requests"]; ok {
-		_ = json.Unmarshal(raw, &reqs)
-	}
-	return v, reqs.KDV
 }
 
 func TestRealHTTPServerRoundTrip(t *testing.T) {

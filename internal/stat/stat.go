@@ -1,6 +1,7 @@
-// Package stat provides the scalar statistics the analytic tools need for
-// significance testing: the standard normal CDF and the chi-square
-// survival function (via the regularized incomplete gamma function),
+// Package stat provides what the analytic tools need for significance
+// testing: the standard normal CDF, the chi-square survival function (via
+// the regularized incomplete gamma function), and the one Monte-Carlo
+// permutation test behind Moran's I, Geary's C, General G and Knox,
 // implemented from scratch on the stdlib.
 package stat
 

@@ -23,17 +23,11 @@ type Matrix struct {
 }
 
 // KNN returns the binary k-nearest-neighbour weight matrix: w_ij = 1 if j
-// is one of i's k nearest points (asymmetric in general). Equivalent to
-// KNNWorkers with every core.
-func KNN(pts []geom.Point, k int) (*Matrix, error) {
-	return KNNWorkers(pts, k, -1)
-}
-
-// KNNWorkers is KNN with an explicit parallelism degree (0/1 serial, <0
-// GOMAXPROCS). Rows are computed independently (the kd-tree is read-only
-// once built) and assembled in site order, so the matrix is bit-identical
-// for every worker count.
-func KNNWorkers(pts []geom.Point, k, workers int) (*Matrix, error) {
+// is one of i's k nearest points (asymmetric in general). Rows fan out
+// across workers (0/1 serial, <0 GOMAXPROCS); the kd-tree is read-only
+// once built and rows are assembled in site order, so the matrix is
+// bit-identical for every worker count.
+func KNN(pts []geom.Point, k, workers int) (*Matrix, error) {
 	n := len(pts)
 	if k < 1 {
 		return nil, fmt.Errorf("weights: k must be >= 1, got %d", k)
@@ -63,17 +57,11 @@ func KNNWorkers(pts []geom.Point, k, workers int) (*Matrix, error) {
 }
 
 // DistanceBand returns the binary distance-band weight matrix:
-// w_ij = 1 if 0 < dist(i, j) <= radius (symmetric). Equivalent to
-// DistanceBandWorkers with every core.
-func DistanceBand(pts []geom.Point, radius float64) (*Matrix, error) {
-	return DistanceBandWorkers(pts, radius, -1)
-}
-
-// DistanceBandWorkers is DistanceBand with an explicit parallelism degree
-// (0/1 serial, <0 GOMAXPROCS). Rows are computed independently over a
-// read-only grid index and assembled in site order, so the matrix is
-// bit-identical for every worker count.
-func DistanceBandWorkers(pts []geom.Point, radius float64, workers int) (*Matrix, error) {
+// w_ij = 1 if 0 < dist(i, j) <= radius (symmetric). Rows fan out across
+// workers (0/1 serial, <0 GOMAXPROCS) over a read-only grid index and are
+// assembled in site order, so the matrix is bit-identical for every
+// worker count.
+func DistanceBand(pts []geom.Point, radius float64, workers int) (*Matrix, error) {
 	n := len(pts)
 	if !(radius > 0) {
 		return nil, fmt.Errorf("weights: radius must be positive, got %g", radius)

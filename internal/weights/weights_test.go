@@ -20,17 +20,17 @@ func gridPoints(n int) []geom.Point {
 
 func TestKNNValidation(t *testing.T) {
 	pts := gridPoints(3)
-	if _, err := KNN(pts, 0); err == nil {
+	if _, err := KNN(pts, 0, -1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KNN(pts, len(pts)); err == nil {
+	if _, err := KNN(pts, len(pts), -1); err == nil {
 		t.Error("k=n accepted")
 	}
 }
 
 func TestKNNStructure(t *testing.T) {
 	pts := gridPoints(5)
-	m, err := KNN(pts, 4)
+	m, err := KNN(pts, 4, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,10 @@ func TestKNNStructure(t *testing.T) {
 
 func TestDistanceBand(t *testing.T) {
 	pts := gridPoints(4)
-	if _, err := DistanceBand(pts, 0); err == nil {
+	if _, err := DistanceBand(pts, 0, -1); err == nil {
 		t.Error("radius=0 accepted")
 	}
-	m, err := DistanceBand(pts, 1.0)
+	m, err := DistanceBand(pts, 1.0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDistanceBand(t *testing.T) {
 
 func TestRowStandardize(t *testing.T) {
 	pts := gridPoints(4)
-	m, err := DistanceBand(pts, 1.0)
+	m, err := DistanceBand(pts, 1.0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRowStandardize(t *testing.T) {
 	}
 	// Isolated point: row stays zero.
 	iso := append(gridPoints(2), geom.Point{X: 100, Y: 100})
-	m2, err := DistanceBand(iso, 1.5)
+	m2, err := DistanceBand(iso, 1.5, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		pts[i] = geom.Point{X: r.Float64() * 50, Y: r.Float64() * 50}
 	}
 	const k = 6
-	m, err := KNN(pts, k)
+	m, err := KNN(pts, k, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

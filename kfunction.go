@@ -1,7 +1,6 @@
 package geostat
 
 import (
-	"context"
 	"math/rand"
 
 	"geostat/internal/kfunc"
@@ -42,17 +41,10 @@ func KFunctionBallTree(pts []Point, s float64) int { return kfunc.BallTreeIndexe
 func KFunctionRTree(pts []Point, s float64) int { return kfunc.RTreeIndexed(pts, s) }
 
 // KFunctionCurve computes K_P at every threshold (ascending) in one pass
-// over the close pairs.
+// over the close pairs. For a cancellable computation build a plot with
+// KPlotOptions.Ctx set.
 func KFunctionCurve(pts []Point, thresholds []float64, workers int) ([]int, error) {
 	return kfunc.Curve(pts, thresholds, workers)
-}
-
-// KFunctionCurveCtx is KFunctionCurve with cooperative cancellation:
-// workers check ctx between chunks of the pair enumeration and the call
-// returns ctx.Err() (with a nil slice) when it fires. Plot construction is
-// cancellable too — set KPlotOptions.Ctx.
-func KFunctionCurveCtx(ctx context.Context, pts []Point, thresholds []float64, workers int) ([]int, error) {
-	return kfunc.CurveCtx(ctx, pts, thresholds, workers)
 }
 
 // KPlotOptions configures KFunctionPlot.

@@ -76,7 +76,7 @@ func TestSelectBandwidthCVSameSeedSameChoice(t *testing.T) {
 
 func TestGeneralGSameSeedBitIdentical(t *testing.T) {
 	d := detValued(250)
-	w, err := KNNWeights(d.Points(), 6)
+	w, err := KNNWeightsWorkers(d.Points(), 6, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestGeneralGSameSeedBitIdentical(t *testing.T) {
 	for i, v := range d.Values() {
 		vals[i] = v + 200 // General G needs positive values
 	}
-	first, err := GeneralG(vals, w, 199, detSeed)
+	first, err := GeneralGOpt(vals, w, GetisOrdOptions{Perms: 199, Seed: detSeed, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		again, err := GeneralG(vals, w, 199, detSeed)
+		again, err := GeneralGOpt(vals, w, GetisOrdOptions{Perms: 199, Seed: detSeed, Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

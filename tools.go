@@ -8,6 +8,7 @@ import (
 	"geostat/internal/idw"
 	"geostat/internal/kriging"
 	"geostat/internal/moran"
+	"geostat/internal/stat"
 	"geostat/internal/stkdv"
 	"geostat/internal/weights"
 )
@@ -92,17 +93,12 @@ func Krige(d *Dataset, opt KrigingOptions) (*Heatmap, error) { return kriging.In
 // KrigingCVResult is a leave-one-out cross-validation of kriging.
 type KrigingCVResult = kriging.CVResult
 
-// KrigeLOOCV cross-validates ordinary kriging (compare variogram models or
-// neighbourhood sizes without ground truth).
-func KrigeLOOCV(d *Dataset, v Variogram, neighbors int) (*KrigingCVResult, error) {
-	return kriging.LOOCV(d, v, neighbors)
-}
-
-// KrigeLOOCVWorkers is KrigeLOOCV with an explicit parallelism degree
+// KrigeLOOCVWorkers cross-validates ordinary kriging (compare variogram
+// models or neighbourhood sizes without ground truth) across workers
 // (0/1 serial, <0 GOMAXPROCS); residuals are bit-identical for every
 // worker count.
 func KrigeLOOCVWorkers(d *Dataset, v Variogram, neighbors, workers int) (*KrigingCVResult, error) {
-	return kriging.LOOCVWorkers(d, v, neighbors, workers)
+	return kriging.LOOCV(d, v, neighbors, workers)
 }
 
 // ---- Spatial weights + autocorrelation (Table 1) ----
@@ -110,34 +106,27 @@ func KrigeLOOCVWorkers(d *Dataset, v Variogram, neighbors, workers int) (*Krigin
 // SpatialWeights is a sparse spatial weight matrix.
 type SpatialWeights = weights.Matrix
 
-// KNNWeights returns binary k-nearest-neighbour weights.
-func KNNWeights(pts []Point, k int) (*SpatialWeights, error) { return weights.KNN(pts, k) }
-
-// KNNWeightsWorkers is KNNWeights with an explicit parallelism degree
-// (0/1 serial, <0 GOMAXPROCS); the matrix is bit-identical for every
-// worker count.
-func KNNWeightsWorkers(pts []Point, k, workers int) (*SpatialWeights, error) {
-	return weights.KNNWorkers(pts, k, workers)
-}
-
-// DistanceBandWeights returns binary weights for 0 < dist <= radius.
-func DistanceBandWeights(pts []Point, radius float64) (*SpatialWeights, error) {
-	return weights.DistanceBand(pts, radius)
-}
-
-// DistanceBandWeightsWorkers is DistanceBandWeights with an explicit
-// parallelism degree (0/1 serial, <0 GOMAXPROCS); the matrix is
+// KNNWeightsWorkers returns binary k-nearest-neighbour weights, rows
+// computed across workers (0/1 serial, <0 GOMAXPROCS); the matrix is
 // bit-identical for every worker count.
+func KNNWeightsWorkers(pts []Point, k, workers int) (*SpatialWeights, error) {
+	return weights.KNN(pts, k, workers)
+}
+
+// DistanceBandWeightsWorkers returns binary weights for 0 < dist <=
+// radius, rows computed across workers (0/1 serial, <0 GOMAXPROCS); the
+// matrix is bit-identical for every worker count.
 func DistanceBandWeightsWorkers(pts []Point, radius float64, workers int) (*SpatialWeights, error) {
-	return weights.DistanceBandWorkers(pts, radius, workers)
+	return weights.DistanceBand(pts, radius, workers)
 }
 
 // MoranOptions configures a Moran/Geary permutation test: Perms
 // permutations from the deterministic Seed, fanned out across Workers.
-type MoranOptions = moran.Options
+type MoranOptions = stat.PermOptions
 
-// GetisOrdOptions configures the General G permutation test.
-type GetisOrdOptions = getisord.Options
+// GetisOrdOptions configures the General G permutation test (the same
+// permutation test as MoranOptions).
+type GetisOrdOptions = stat.PermOptions
 
 // MoranResult is a global Moran's I with its permutation test.
 type MoranResult = moran.Result
@@ -145,42 +134,28 @@ type MoranResult = moran.Result
 // LocalMoranResult is one site's LISA statistic.
 type LocalMoranResult = moran.LocalResult
 
-// MoranI computes global Moran's I with an optional permutation test.
-func MoranI(values []float64, w *SpatialWeights, perms int, rng *rand.Rand) (*MoranResult, error) {
-	return moran.Global(values, w, perms, rng)
-}
-
-// MoranIOpt computes global Moran's I with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant results).
+// MoranIOpt computes global Moran's I with an optional permutation test
+// (deterministic seed, worker-count-invariant results).
 func MoranIOpt(values []float64, w *SpatialWeights, opt MoranOptions) (*MoranResult, error) {
-	return moran.GlobalOpt(values, w, opt)
+	return moran.Global(values, w, opt)
 }
 
-// LocalMoran computes local Moran's I (LISA) for every site.
-func LocalMoran(values []float64, w *SpatialWeights, perms int, rng *rand.Rand) ([]LocalMoranResult, error) {
-	return moran.Local(values, w, perms, rng)
-}
-
-// LocalMoranOpt computes local Moran's I with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant z-scores).
+// LocalMoranOpt computes local Moran's I (LISA) for every site, with
+// conditional-permutation z-scores when opt.Perms > 0 (deterministic
+// seed, worker-count-invariant z-scores).
 func LocalMoranOpt(values []float64, w *SpatialWeights, opt MoranOptions) ([]LocalMoranResult, error) {
-	return moran.LocalOpt(values, w, opt)
+	return moran.Local(values, w, opt)
 }
 
 // GearyResult is a global Geary's C with its permutation test.
 type GearyResult = moran.GearyResult
 
-// GearyC computes Geary's contiguity ratio (E[C]=1; C<1 positive
+// GearyCOpt computes Geary's contiguity ratio (E[C]=1; C<1 positive
 // autocorrelation, C>1 negative), the local-difference complement to
-// Moran's I.
-func GearyC(values []float64, w *SpatialWeights, perms int, rng *rand.Rand) (*GearyResult, error) {
-	return moran.Geary(values, w, perms, rng)
-}
-
-// GearyCOpt computes Geary's C with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant results).
+// Moran's I, with an optional permutation test (deterministic seed,
+// worker-count-invariant results).
 func GearyCOpt(values []float64, w *SpatialWeights, opt MoranOptions) (*GearyResult, error) {
-	return moran.GearyOpt(values, w, opt)
+	return moran.Geary(values, w, opt)
 }
 
 // MoranQuadrant is a Moran-scatterplot quadrant (HH/LL/HL/LH).
@@ -195,7 +170,7 @@ const (
 )
 
 // MoranQuadrants classifies every site on the Moran scatterplot — combined
-// with LocalMoran z-scores this is the LISA cluster map.
+// with LocalMoranOpt z-scores this is the LISA cluster map.
 func MoranQuadrants(values []float64, w *SpatialWeights) ([]MoranQuadrant, error) {
 	return moran.Quadrants(values, w)
 }
@@ -212,16 +187,10 @@ func MoranCorrelogram(pts []Point, values []float64, radii []float64, perms int,
 // GeneralGResult is a global Getis-Ord General G with its permutation test.
 type GeneralGResult = getisord.GeneralGResult
 
-// GeneralG computes Getis-Ord General G with an optional permutation test
-// whose shuffles are derived deterministically from seed.
-func GeneralG(values []float64, w *SpatialWeights, perms int, seed int64) (*GeneralGResult, error) {
-	return getisord.GeneralG(values, w, perms, seed)
-}
-
-// GeneralGOpt computes General G with an explicit permutation-test
-// configuration (deterministic seed, worker-count-invariant results).
+// GeneralGOpt computes Getis-Ord General G with an optional permutation
+// test (deterministic seed, worker-count-invariant results).
 func GeneralGOpt(values []float64, w *SpatialWeights, opt GetisOrdOptions) (*GeneralGResult, error) {
-	return getisord.GeneralGOpt(values, w, opt)
+	return getisord.GeneralG(values, w, opt)
 }
 
 // LocalGStar computes per-site Gi* hot/cold-spot z-scores.
